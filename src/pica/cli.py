@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from . import estimation, groups, patterns, recovery, simulate, tensor
+from . import _json, estimation, groups, patterns, recovery, simulate, tensor
 
 __all__ = ["run", "main", "EXIT_OK", "EXIT_USAGE", "EXIT_IO", "EXIT_VERDICT"]
 
@@ -80,9 +80,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _graph_from_json(obj: dict) -> patterns.IndependenceGraph:
+    dim = int(obj.get("d", obj.get("dim", 0)))
+    return patterns.IndependenceGraph(dim, [tuple(e) for e in obj["edges"]])
 
 
 def _cmd_simulate(args) -> int:
@@ -135,14 +135,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    obj = _load_json(args.graph)
-    dim = int(obj.get("d", obj.get("dim", 0)))
-    graph = patterns.IndependenceGraph(dim, [tuple(e) for e in obj["edges"]])
+    graph = _json.load(args.graph, _graph_from_json)
     report = groups.conjecture_probe(graph, args.order, args.trials, args.seed)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json(), fh, indent=2)
-            fh.write("\n")
+        _json.dump(report.to_json(), args.out)
     summary = {
         "matrices_checked": report.matrices_checked,
         "automorphism_count": report.automorphism_count,

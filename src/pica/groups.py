@@ -11,7 +11,6 @@ and graph automorphisms.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -20,6 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import _json
 from ._rng import as_generator
 from .patterns import IndependenceGraph, generic_sample, is_member, pattern_from_graph
 from .tensor import multilinear_transform
@@ -483,11 +483,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
 
 def save_matrix(q: np.ndarray, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_json(q), fh, indent=2)
-        fh.write("\n")
+    _json.dump(matrix_to_json(q), path)
 
 
 def load_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return matrix_from_json(json.load(fh))
+    return _json.load(path, matrix_from_json)

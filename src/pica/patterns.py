@@ -18,13 +18,13 @@ Kinds:
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import _json
 from ._rng import as_generator
 from .tensor import (
     MultiIndex,
@@ -366,11 +366,8 @@ def pattern_from_json(obj: dict) -> ZeroPattern:
 
 
 def save_pattern(pattern: ZeroPattern, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(pattern_to_json(pattern), fh, indent=2)
-        fh.write("\n")
+    _json.dump(pattern_to_json(pattern), path)
 
 
 def load_pattern(path) -> ZeroPattern:
-    with open(path, "r", encoding="utf-8") as fh:
-        return pattern_from_json(json.load(fh))
+    return _json.load(path, pattern_from_json)

@@ -16,15 +16,12 @@ detector for them.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _json
 from ._rng import substream
 from .estimation import sample_cumulant, whiten
 from .groups import (
@@ -36,7 +33,7 @@ from .groups import (
     random_orthogonal,
 )
 from .patterns import ZeroPattern, diagonal_pattern
-from .tensor import SymmetricTensor, canonical_indices
+from .tensor import SymmetricTensor, _transform_modewise
 
 __all__ = [
     "RecoveryOptions",
@@ -55,12 +52,10 @@ __all__ = [
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("PICA_THREADS", "1")))
-    except ValueError:
-        return 1
+# A restart stops once a sweep lowers the objective by less than this.
+_SWEEP_TOL = 1e-14
+# Width at which the golden-section search on one plane angle stops.
+_ANGLE_RESOLUTION = 1e-9
 
 
 @dataclass(frozen=True)
@@ -73,10 +68,8 @@ class RecoveryOptions:
 
     order: int = 4
     max_sweeps: int = 60
-    tol: float = 1e-14
     restarts: int = 8
     seed: int = 0
-    angle_tol: float = 1e-9
 
     def __post_init__(self):
         if self.order < 3:
@@ -87,31 +80,18 @@ class RecoveryOptions:
             raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
 
 
-def _permutation_count(idx: tuple[int, ...]) -> int:
-    n = math.factorial(len(idx))
-    for c in Counter(idx).values():
-        n //= math.factorial(c)
-    return n
-
-
 def off_pattern_energy(tensor: SymmetricTensor, pattern: ZeroPattern) -> float:
     """Squared norm of the tensor restricted to the zero-constrained set.
 
-    Each canonical entry is weighted by its number of distinct index
-    permutations, so the value equals the full-array squared norm over
-    all off-pattern positions; zero exactly on pattern members.
+    Summed over the full d^r array, so each canonical entry counts once
+    per distinct permutation of its index; zero exactly on pattern members.
     """
     if (tensor.order, tensor.dim) != (pattern.order, pattern.dim):
         raise ValueError(
             f"tensor (order={tensor.order}, dim={tensor.dim}) does not match "
             f"pattern (order={pattern.order}, dim={pattern.dim})"
         )
-    total = 0.0
-    idxs = canonical_indices(tensor.dim, tensor.order)
-    for rank in np.flatnonzero(pattern.zero_mask):
-        v = tensor.values[rank]
-        total += _permutation_count(idxs[rank]) * v * v
-    return float(total)
+    return _dense_energy(tensor.to_dense(), pattern.dense_zero_mask())
 
 
 def _dense_energy(dense: np.ndarray, mask: np.ndarray) -> float:
@@ -159,7 +139,7 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
 _PLANE_GRID = 17
 
 
-def _minimize_plane(dense: np.ndarray, mask: np.ndarray, i: int, j: int, angle_tol: float) -> tuple[float, float]:
+def _minimize_plane(dense: np.ndarray, mask: np.ndarray, i: int, j: int) -> tuple[float, float]:
     """Best rotation angle for one plane; never worse than angle 0."""
 
     def objective(theta: float) -> float:
@@ -170,9 +150,9 @@ def _minimize_plane(dense: np.ndarray, mask: np.ndarray, i: int, j: int, angle_t
     best = int(np.argmin(grid_vals))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, _PLANE_GRID - 1)]
-    theta, value = _golden_section(objective, lo, hi, angle_tol)
+    theta, value = _golden_section(objective, lo, hi, _ANGLE_RESOLUTION)
     # quadratic refinement around the golden-section minimizer
-    h = max(angle_tol, 1e-7)
+    h = max(_ANGLE_RESOLUTION, 1e-7)
     f0, fp, fm = objective(theta), objective(theta + h), objective(theta - h)
     denom = fp - 2.0 * f0 + fm
     if denom > 0.0:
@@ -195,18 +175,15 @@ def _descend(
 ) -> tuple[np.ndarray, float, int]:
     """Cyclic Givens descent from one starting rotation."""
     d = dense0.shape[0]
-    order = dense0.ndim
     q = q0.copy()
-    dense = dense0
-    for axis in range(order):
-        dense = np.moveaxis(np.tensordot(q, dense, axes=(1, axis)), 0, axis)
+    dense = _transform_modewise(q, dense0)
     previous = _dense_energy(dense, mask)
     sweeps = 0
     for _ in range(opts.max_sweeps):
         sweeps += 1
         for i in range(d - 1):
             for j in range(i + 1, d):
-                theta, value = _minimize_plane(dense, mask, i, j, opts.angle_tol)
+                theta, value = _minimize_plane(dense, mask, i, j)
                 if theta != 0.0:
                     c, s = math.cos(theta), math.sin(theta)
                     dense = _apply_plane(dense, i, j, c, s)
@@ -218,7 +195,7 @@ def _descend(
         energy = _dense_energy(dense, mask)
         if energy > previous + 1e-12 * (1.0 + previous):
             raise RuntimeError(f"objective increased within a sweep: {previous} -> {energy}")
-        if previous - energy < opts.tol:
+        if previous - energy < _SWEEP_TOL:
             break
         previous = energy
     return q, _dense_energy(dense, mask), sweeps
@@ -227,25 +204,17 @@ def _descend(
 def _run_restarts(
     dense0: np.ndarray, mask: np.ndarray, opts: RecoveryOptions
 ) -> list[tuple[np.ndarray, float, int]]:
-    """Seeded restarts of the descent: identity first, then Haar draws.
+    """Seeded restarts of the descent, run one after another.
 
-    Restarts are independent, so thread scheduling (capped by the
-    PICA_THREADS environment variable) cannot change the results.
+    Restart 0 starts at the identity, restart k at a Haar draw from its
+    own substream of ``opts.seed``.
     """
     d = dense0.shape[0]
-
-    def one(restart: int) -> tuple[np.ndarray, float, int]:
-        if restart == 0:
-            q0 = np.eye(d)
-        else:
-            q0 = random_orthogonal(d, substream(opts.seed, "restart", restart))
-        return _descend(dense0, mask, q0, opts)
-
-    workers = min(_max_workers(), opts.restarts)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, range(opts.restarts)))
-    return [one(restart) for restart in range(opts.restarts)]
+    starts = [np.eye(d)] + [
+        random_orthogonal(d, substream(opts.seed, "restart", restart))
+        for restart in range(1, opts.restarts)
+    ]
+    return [_descend(dense0, mask, q0, opts) for q0 in starts]
 
 
 def minimize_off_pattern(
@@ -433,11 +402,8 @@ def report_from_json(obj: dict) -> RecoveryReport:
 
 
 def save_report(report: RecoveryReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_json(report), fh, indent=2)
-        fh.write("\n")
+    _json.dump(report_to_json(report), path)
 
 
 def load_report(path) -> RecoveryReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        return report_from_json(json.load(fh))
+    return _json.load(path, report_from_json)

@@ -15,12 +15,13 @@ Distribution tags (all standardized to mean 0, variance 1):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _json
 from ._rng import as_generator, child_generators
+from .estimation import whiten
 from .patterns import IndependenceGraph, PartitionSpec
 
 __all__ = [
@@ -87,14 +88,6 @@ def gen_independent_sources(
     return np.column_stack([_draw(tag, n, g) for tag in tags])
 
 
-def _whiten_block(b: np.ndarray) -> np.ndarray:
-    """Exact sample whitening of a block (symmetric inverse sqrt)."""
-    b = b - b.mean(axis=0)
-    cov = b.T @ b / b.shape[0]
-    w, v = np.linalg.eigh(cov)
-    return b @ ((v * w**-0.5) @ v.T).T
-
-
 def gen_partitioned_sources(
     n: int, spec: PartitionSpec, dist: str | list[str], rng: int | np.random.Generator
 ) -> np.ndarray:
@@ -124,7 +117,7 @@ def gen_partitioned_sources(
                 m = g.standard_normal((k, k))
             block = latents @ m.T
             block[:, 0] = block[:, 0] + _COUPLING * block[:, 1] ** 3
-            block = _whiten_block(block)
+            block = whiten(block).whitened
         for pos, i in enumerate(members):
             out[:, i - 1] = block[:, pos]
     return out
@@ -277,11 +270,8 @@ def source_spec_from_json(obj: dict) -> SourceSpec:
 def save_source_spec(spec: SourceSpec, path, extra: dict | None = None) -> None:
     obj = source_spec_to_json(spec)
     obj.update(extra or {})
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+    _json.dump(obj, path)
 
 
 def load_source_spec(path) -> SourceSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return source_spec_from_json(json.load(fh))
+    return _json.load(path, source_spec_from_json)

@@ -122,6 +122,22 @@ def test_recover_verify_round_trip(workdir):
     ) == 3
 
 
+def test_recover_is_byte_identical_per_seed(workdir):
+    spec = PartitionSpec(4, ((1, 2), (3, 4)))
+    data = workdir / "mixed.csv"
+    write_csv(data, mix(gen_partitioned_sources(5000, spec, "uniform", 6), random_orthogonal(4, 7)))
+    pat_path = workdir / "pattern.json"
+    save_pattern(pattern_from_partition(spec, 4), pat_path)
+    reports = [workdir / "a.json", workdir / "b.json"]
+    for report in reports:
+        code = cli.run(
+            ["recover", "--in", str(data), "--pattern", str(pat_path), "--restarts", "3",
+             "--seed", "8", "--out", str(report)]
+        )
+        assert code == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+
+
 def test_probe_star_graph(workdir, capsys):
     graph_path = workdir / "graph.json"
     graph_path.write_text(json.dumps({"d": 3, "edges": [[1, 2], [1, 3]]}))
@@ -148,7 +164,7 @@ def test_usage_errors_exit_one():
     assert cli.run(["check", "--tensor", "x.json"]) == 1
 
 
-def test_io_errors_exit_two(workdir):
+def test_io_errors_exit_two(workdir, capsys):
     missing = str(workdir / "nope.json")
     assert cli.run(["check", "--tensor", missing, "--pattern", missing]) == 2
     bad = workdir / "bad.json"
@@ -158,6 +174,29 @@ def test_io_errors_exit_two(workdir):
     csv_path = workdir / "bad.csv"
     csv_path.write_text("1,2\n3,nan\n")
     assert cli.run(["cumulants", "--in", str(csv_path), "--order", "3", "--out", str(workdir / "o.json")]) == 2
+    # JSON that parses but has the wrong shape
+    tensor_path, pattern_path = workdir / "t.json", workdir / "p.json"
+    save_tensor(tensor_from_entries(2, 2, [((1, 1), 1.0)]), tensor_path)
+    save_pattern(diagonal_pattern(2, 2), pattern_path)
+    data = workdir / "data.csv"
+    write_csv(data, np.random.default_rng(0).standard_normal((50, 4)))
+    malformed = [
+        ({"order": 2, "dim": 2, "entries": None},
+         ["check", "--tensor", str(bad), "--pattern", str(pattern_path)]),
+        ({"order": 2, "dim": 2, "entries": [{"idx": 5, "val": 1.0}]},
+         ["check", "--tensor", str(bad), "--pattern", str(pattern_path)]),
+        ({"kind": "partition", "order": 4, "dim": 4, "blocks": 5},
+         ["recover", "--in", str(data), "--pattern", str(bad), "--seed", "0", "--out", str(workdir / "r.json")]),
+        ({"d": 3, "edges": 5}, ["probe", "--graph", str(bad), "--seed", "0"]),
+        ([{"kind": "independent", "d": 2}],
+         ["simulate", "--spec", str(bad), "--n", "10", "--seed", "0", "--out", str(workdir / "x.csv")]),
+    ]
+    capsys.readouterr()
+    for content, argv in malformed:
+        bad.write_text(json.dumps(content))
+        assert cli.run(argv) == 2, argv
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "bad.json" in err[0], err
 
 
 def test_simulate_rejects_bad_spec(workdir):

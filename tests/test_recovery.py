@@ -288,14 +288,3 @@ def test_recovery_options_validation():
     with pytest.raises(ValueError, match="restarts"):
         RecoveryOptions(restarts=0)
 
-
-def test_restart_threads_match_serial(monkeypatch):
-    x = gen_independent_sources(10_000, 3, "uniform", 30)
-    a = random_orthogonal(3, 31)
-    y = mix(x, a)
-    opts = RecoveryOptions(order=4, restarts=4, seed=32)
-    serial = estimate_unmixing(y, diagonal_pattern(3, 4), opts)
-    monkeypatch.setenv("PICA_THREADS", "4")
-    threaded = estimate_unmixing(y, diagonal_pattern(3, 4), opts)
-    assert serial.objective_per_restart == threaded.objective_per_restart
-    np.testing.assert_allclose(serial.unmixing, threaded.unmixing, atol=0)
