@@ -3,11 +3,12 @@
 The pipeline follows the classical reduction: center and whiten the data,
 then search the orthogonal group for the rotation making the order-r
 sample cumulant fit the zero pattern of the assumed independence
-structure.  The search is cyclic Givens coordinate descent: each plane
-angle is minimized by golden section over [-pi/4, pi/4) with a local
-quadratic refinement, and a rotation is only accepted when it does not
-increase the objective, so sweeps are monotone.  Restarts guard against
-local minima; restart 0 starts at the identity, the rest at Haar draws.
+structure.  The search is cyclic Givens coordinate descent: along one
+plane the objective is a trigonometric polynomial of known degree, so
+each plane angle is minimized exactly over a full period from a few
+samples, and a rotation is only accepted when it lowers the objective,
+so sweeps are monotone.  Restarts guard against local minima; restart 0
+starts at the identity, the rest at Haar draws.
 
 Failure is a report, not an exception: some configurations are provably
 not identifiable, and the coset residual of the verification step is the
@@ -50,12 +51,8 @@ __all__ = [
     "load_report",
 ]
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 # A restart stops once a sweep lowers the objective by less than this.
 _SWEEP_TOL = 1e-14
-# Width at which the golden-section search on one plane angle stops.
-_ANGLE_RESOLUTION = 1e-9
 
 
 @dataclass(frozen=True)
@@ -114,57 +111,43 @@ def _apply_plane(dense: np.ndarray, i: int, j: int, c: float, s: float) -> np.nd
     return out
 
 
-def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    h = hi - lo
-    x1 = lo + (1.0 - _INVPHI) * h
-    x2 = lo + _INVPHI * h
-    f1, f2 = f(x1), f(x2)
-    while h > tol:
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            h = hi - lo
-            x1 = lo + (1.0 - _INVPHI) * h
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            h = hi - lo
-            x2 = lo + _INVPHI * h
-            f2 = f(x2)
-    return (x1, f1) if f1 < f2 else (x2, f2)
+def _minimize_plane(dense: np.ndarray, mask: np.ndarray, i: int, j: int) -> float:
+    """Angle of the exact energy minimum in plane (i, j); 0.0 unless it lowers the energy.
 
+    Every entry of the rotated order-r tensor is a form of degree r in
+    (cos t, sin t), so the energy is f(t) = sum_{k=0..r} Re(c_k e^{2ikt}):
+    pi-periodic and fixed by 2r+1 equispaced samples on [0, pi).  Its
+    minimum is at a root of z^r f'(z), z = e^{2it}; the sample angles stay
+    candidates because a flat plane has no roots.
+    """
+    r = dense.ndim
+    n = 2 * r + 1
+    angles = math.pi * np.arange(n) / n
+    samples = [_dense_energy(_apply_plane(dense, i, j, math.cos(t), math.sin(t)), mask) for t in angles]
+    c = np.fft.rfft(samples) / n
+    k = np.arange(r + 1)
+    weights = np.where(k == 0, 1.0, 2.0) * c
 
-# Grid points bracketing the plane search: the slice objective is a
-# trigonometric polynomial with harmonics up to 2r, so golden section alone
-# can lock onto a secondary valley; an odd count keeps angle 0 on the grid.
-_PLANE_GRID = 17
+    def energy(t):
+        return np.real(np.exp(2j * np.multiply.outer(t, k)) @ weights)
 
-
-def _minimize_plane(dense: np.ndarray, mask: np.ndarray, i: int, j: int) -> tuple[float, float]:
-    """Best rotation angle for one plane; never worse than angle 0."""
-
-    def objective(theta: float) -> float:
-        return _dense_energy(_apply_plane(dense, i, j, math.cos(theta), math.sin(theta)), mask)
-
-    grid = np.linspace(-math.pi / 4, math.pi / 4, _PLANE_GRID)
-    grid_vals = [objective(t) for t in grid]
-    best = int(np.argmin(grid_vals))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, _PLANE_GRID - 1)]
-    theta, value = _golden_section(objective, lo, hi, _ANGLE_RESOLUTION)
-    # quadratic refinement around the golden-section minimizer
-    h = max(_ANGLE_RESOLUTION, 1e-7)
-    f0, fp, fm = objective(theta), objective(theta + h), objective(theta - h)
-    denom = fp - 2.0 * f0 + fm
-    if denom > 0.0:
-        candidate = theta - h * (fp - fm) / (2.0 * denom)
-        if abs(candidate) <= math.pi / 4:
-            fc = objective(candidate)
-            if fc < f0:
-                theta, value = candidate, fc
-    current = _dense_energy(dense, mask)
-    if value < current:
-        return theta, value
-    return 0.0, current
+    kc = k * c
+    critical = np.angle(np.roots(np.concatenate([kc[::-1], -np.conj(kc[1:])]))) / 2
+    # the samples are direct evaluations; the series is needed only between them
+    candidates = np.concatenate([angles, critical])
+    values = np.concatenate([samples, energy(critical)])
+    best = int(np.argmin(values))
+    theta, value = float(candidates[best]), float(values[best])
+    if theta > math.pi / 2:
+        theta -= math.pi
+    # A quarter turn that ties is a coordinate swap (within rounding); take the
+    # smaller rotation, as cyclic Jacobi does, or diagonal patterns keep swapping.
+    if not -math.pi / 4 < theta <= math.pi / 4:
+        back = theta - math.copysign(math.pi / 2, theta)
+        back_value = float(energy(back))
+        if back_value <= value + 1e-12 * (1.0 + abs(value)):
+            theta, value = back, back_value
+    return theta if value < samples[0] else 0.0
 
 
 def _descend(
@@ -183,15 +166,11 @@ def _descend(
         sweeps += 1
         for i in range(d - 1):
             for j in range(i + 1, d):
-                theta, value = _minimize_plane(dense, mask, i, j)
+                theta = _minimize_plane(dense, mask, i, j)
                 if theta != 0.0:
                     c, s = math.cos(theta), math.sin(theta)
                     dense = _apply_plane(dense, i, j, c, s)
-                    g = np.eye(d)
-                    g[i, i] = g[j, j] = c
-                    g[i, j] = -s
-                    g[j, i] = s
-                    q = g @ q
+                    q[[i, j]] = c * q[i] - s * q[j], s * q[i] + c * q[j]
         energy = _dense_energy(dense, mask)
         if energy > previous + 1e-12 * (1.0 + previous):
             raise RuntimeError(f"objective increased within a sweep: {previous} -> {energy}")
@@ -263,6 +242,8 @@ def estimate_unmixing(y: np.ndarray, pattern: ZeroPattern, opts: RecoveryOptions
     if pattern.order != opts.order:
         raise ValueError(f"pattern order {pattern.order} != requested cumulant order {opts.order}")
     white = whiten(y)
+    if white.whitened.shape[1] != pattern.dim:
+        raise ValueError(f"pattern dim {pattern.dim} != data column count {white.whitened.shape[1]}")
     kappa = sample_cumulant(white.whitened, opts.order)
     results = _run_restarts(kappa.to_dense(), pattern.dense_zero_mask(), opts)
     objectives = [energy for _, energy, _ in results]
@@ -306,10 +287,13 @@ def verify_identifiability(w: np.ndarray, a_true: np.ndarray, structure: BlockSt
     Also reports, per assigned block, the Frobenius distance to its
     nearest orthogonal matrix (via the polar factor).
     """
+    w = np.asarray(w, dtype=float)
     a_true = np.asarray(a_true, dtype=float)
+    if w.shape != a_true.shape:
+        raise ValueError(f"unmixing matrix shape {w.shape} != ground-truth mixing matrix shape {a_true.shape}")
     if abs(np.linalg.det(a_true)) < 1e-12:
         raise ValueError("ground-truth mixing matrix is singular")
-    product = np.asarray(w, dtype=float) @ a_true
+    product = w @ a_true
     residual, assignment = coset_residual(product, structure)
     distances = []
     for i, j in enumerate(assignment):

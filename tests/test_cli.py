@@ -138,6 +138,28 @@ def test_recover_is_byte_identical_per_seed(workdir):
     assert reports[0].read_bytes() == reports[1].read_bytes()
 
 
+def test_dimension_mismatch_exits_two(workdir, capsys):
+    spec = PartitionSpec(4, ((1, 2), (3, 4)))
+    data = workdir / "mixed.csv"
+    write_csv(data, mix(gen_partitioned_sources(2000, spec, "uniform", 6), random_orthogonal(4, 7)))
+    pat3_path, pat4_path = workdir / "pattern3.json", workdir / "pattern4.json"
+    save_pattern(pattern_from_partition(PartitionSpec(3, ((1, 2), (3,))), 4), pat3_path)
+    save_pattern(pattern_from_partition(spec, 4), pat4_path)
+    report_path, truth_path = workdir / "report.json", workdir / "truth.json"
+    save_matrix(random_orthogonal(3, 8), truth_path)
+    recover = ["recover", "--in", str(data), "--restarts", "1", "--seed", "0", "--out", str(report_path)]
+    assert cli.run(recover + ["--pattern", str(pat4_path)]) == 0
+    capsys.readouterr()
+    cases = [
+        (recover + ["--pattern", str(pat3_path)], "pattern dim 3 != data column count 4"),
+        (["verify", "--report", str(report_path), "--truth", str(truth_path), "--blocks", "2,2"], "(4, 4) != "),
+    ]
+    for argv, message in cases:
+        assert cli.run(argv) == 2, argv
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and message in err[0], err
+
+
 def test_probe_star_graph(workdir, capsys):
     graph_path = workdir / "graph.json"
     graph_path.write_text(json.dumps({"d": 3, "edges": [[1, 2], [1, 3]]}))

@@ -1,7 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pica.estimation import DegenerateDataError, sample_cumulant, whiten
 from pica.groups import (
@@ -22,6 +25,9 @@ from pica.patterns import (
 )
 from pica.recovery import (
     RecoveryOptions,
+    _apply_plane,
+    _dense_energy,
+    _minimize_plane,
     comon_pipeline,
     estimate_unmixing,
     load_report,
@@ -34,7 +40,7 @@ from pica.recovery import (
     verify_identifiability,
 )
 from pica.simulate import gen_independent_sources, gen_partitioned_sources, mix
-from pica.tensor import SymmetricTensor, num_entries, tensor_from_entries
+from pica.tensor import SymmetricTensor, multilinear_transform, num_entries, tensor_from_entries
 
 
 def test_off_pattern_energy_member_is_zero():
@@ -82,8 +88,10 @@ def test_estimate_unmixing_white_member_data_beats_identity():
 
 def test_estimate_unmixing_order_mismatch():
     x = gen_independent_sources(1000, 3, "uniform", 0)
-    with pytest.raises(ValueError, match="order"):
-        estimate_unmixing(x, diagonal_pattern(3, 3), RecoveryOptions(order=4))
+    cases = [(diagonal_pattern(3, 3), "order"), (diagonal_pattern(4, 4), "dim 4 != data column count 3")]
+    for pattern, match in cases:
+        with pytest.raises(ValueError, match=match):
+            estimate_unmixing(x, pattern, RecoveryOptions(order=4))
 
 
 def test_estimate_unmixing_degenerate_covariance():
@@ -201,6 +209,51 @@ def test_verify_identifiability_exact_cases():
     assert ident3.residual > 0.1
     with pytest.raises(ValueError, match="singular"):
         verify_identifiability(np.eye(2), np.zeros((2, 2)), BlockStructure((1, 1)))
+    with pytest.raises(ValueError, match=r"\(4, 4\) != .* \(3, 3\)"):
+        verify_identifiability(np.eye(4), np.eye(3), structure)
+
+
+@st.composite
+def plane_problems(draw):
+    """A Haar-rotated generic member of a diagonal or two-block pattern, and a plane."""
+    d = draw(st.integers(2, 4))
+    r = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        pattern = diagonal_pattern(d, r)
+    else:
+        split = draw(st.integers(1, d - 1))
+        blocks = (tuple(range(1, split + 1)), tuple(range(split + 1, d + 1)))
+        pattern = pattern_from_partition(PartitionSpec(d, blocks), r)
+    seed = draw(st.integers(0, 2**16))
+    i = draw(st.integers(0, d - 2))
+    j = draw(st.integers(i + 1, d - 1))
+    dense = multilinear_transform(random_orthogonal(d, seed), generic_sample(pattern, rng=seed)).to_dense()
+    return dense, pattern.dense_zero_mask(), i, j
+
+
+def _cross_block_problem():
+    # a plane across blocks is only pi-periodic: the minimum at -1.2 lies
+    # outside [-pi/4, pi/4] and has no copy a quarter turn away
+    pattern = pattern_from_partition(PartitionSpec(4, ((1, 2), (3, 4))), 4)
+    dense = _apply_plane(generic_sample(pattern, rng=0).to_dense(), 0, 2, math.cos(1.2), math.sin(1.2))
+    return dense, pattern.dense_zero_mask(), 0, 2
+
+
+@settings(max_examples=50, deadline=None)
+@given(plane_problems())
+@example(_cross_block_problem())
+def test_plane_search_finds_the_minimum_over_a_full_period(problem):
+    dense, mask, i, j = problem
+
+    def energy(theta):
+        return _dense_energy(_apply_plane(dense, i, j, math.cos(theta), math.sin(theta)), mask)
+
+    # rounding of the energies, relative to the tensor's squared norm
+    tol = 1e-12 * float(np.sum(dense**2))
+    found = energy(_minimize_plane(dense, mask, i, j))
+    grid = np.linspace(-math.pi / 2, math.pi / 2, 360, endpoint=False)
+    assert found <= min(energy(t) for t in grid) + tol
+    assert found <= energy(0.0) + tol
 
 
 def test_reflectional_stabilizer_is_signed_permutation_group():
