@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor import MAX_ORDER, SymmetricTensor, canonical_indices
+from .tensor import MAX_ORDER, SymmetricTensor, _colex_ranks, canonical_indices
 
 __all__ = ["SetPartition", "enumerate_partitions", "moments_to_cumulants", "cumulants_to_moments"]
 
@@ -75,18 +75,16 @@ def _convert(tensors: list[SymmetricTensor], weight) -> list[SymmetricTensor]:
     r, dim = _check_sequence(tensors, "tensor")
     out = []
     for k in range(1, r + 1):
-        idxs = canonical_indices(dim, k)
-        vals = np.empty(len(idxs))
-        parts = enumerate_partitions(k)
-        for rank, idx in enumerate(idxs):
-            acc = 0.0
-            for part in parts:
-                term = weight(len(part))
-                for block in part:
-                    sub = tuple(sorted(idx[p - 1] for p in block))
-                    term *= tensors[len(sub) - 1].lookup(sub)
-                acc += term
-            vals[rank] = acc
+        idxs = np.array(canonical_indices(dim, k), dtype=np.int64)
+        vals = np.zeros(len(idxs))
+        sub = {}  # entries at each block's sub-tuples, canonical since block positions ascend
+        for part in enumerate_partitions(k):
+            term = weight(len(part))
+            for block in part:
+                if block not in sub:
+                    sub[block] = tensors[len(block) - 1].values[_colex_ranks(idxs[:, np.subtract(block, 1)])]
+                term = term * sub[block]
+            vals += term
         out.append(SymmetricTensor(k, dim, vals))
     return out
 

@@ -244,8 +244,9 @@ def estimate_unmixing(y: np.ndarray, pattern: ZeroPattern, opts: RecoveryOptions
     white = whiten(y)
     if white.whitened.shape[1] != pattern.dim:
         raise ValueError(f"pattern dim {pattern.dim} != data column count {white.whitened.shape[1]}")
+    mask = pattern.dense_zero_mask()  # refuses an over-budget cube before the moment pass
     kappa = sample_cumulant(white.whitened, opts.order)
-    results = _run_restarts(kappa.to_dense(), pattern.dense_zero_mask(), opts)
+    results = _run_restarts(kappa.to_dense(), mask, opts)
     objectives = [energy for _, energy, _ in results]
     best = int(np.argmin(objectives))
     q_best = results[best][0]

@@ -22,6 +22,7 @@ import numpy as np
 from . import _json
 
 __all__ = [
+    "MAX_DENSE_ENTRIES",
     "MAX_ORDER",
     "SymmetricTensor",
     "canonical_index",
@@ -39,8 +40,9 @@ __all__ = [
     "load_tensor",
 ]
 
-# Practical cap: B_8 = 4140 partitions and d^r dense scratch stay desk-sized.
+# Practical caps: B_8 = 4140 partitions, and a 2^22-entry dense cube is 32 MB per copy.
 MAX_ORDER = 8
+MAX_DENSE_ENTRIES = 2**22
 
 MultiIndex = tuple[int, ...]
 
@@ -68,47 +70,45 @@ def canonical_index(index: Sequence[int], dim: int) -> MultiIndex:
     return idx
 
 
-def canonical_rank(index: MultiIndex) -> int:
-    """Colex rank of a canonical (non-decreasing, 1-based) index tuple.
+def _colex_ranks(idx: np.ndarray) -> np.ndarray:
+    """Colex ranks of the rows of ``idx``, each a canonical 1-based index tuple.
 
     Via the combinatorial number system: position k (0-based) of value v
     contributes C(v - 1 + k, k + 1).
     """
-    return sum(math.comb(v - 1 + k, k + 1) for k, v in enumerate(index))
+    k = np.arange(np.shape(idx)[-1])
+    n = np.asarray(idx, dtype=np.int64) + (k - 1)
+    binom = np.array([[math.comb(m, j + 1) for j in k] for m in range(n.max(initial=0) + 1)], dtype=np.int64)
+    return binom[n, k].sum(axis=-1)
 
 
-@lru_cache(maxsize=None)
+def canonical_rank(index: MultiIndex) -> int:
+    """Colex rank of a canonical (non-decreasing, 1-based) index tuple."""
+    return int(_colex_ranks(np.array([index], dtype=np.int64))[0])
+
+
+@lru_cache(maxsize=16)
 def canonical_indices(dim: int, order: int) -> tuple[MultiIndex, ...]:
     """All canonical index tuples in colexicographic order."""
     combos = itertools.combinations_with_replacement(range(1, dim + 1), order)
     return tuple(sorted(combos, key=lambda t: t[::-1]))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _dense_rank_array(dim: int, order: int) -> np.ndarray:
-    """Flat array mapping every position of the d^r dense cube to its rank."""
-    binom = np.zeros((dim + order, order + 1), dtype=np.int64)
-    for n in range(dim + order):
-        for k in range(order + 1):
-            binom[n, k] = math.comb(n, k)
-    grid = np.indices((dim,) * order).reshape(order, -1)
-    grid = np.sort(grid, axis=0)  # 0-based sorted tuples
-    ranks = np.zeros(grid.shape[1], dtype=np.int64)
-    for k in range(order):
-        ranks += binom[grid[k] + k, k + 1]
+    """Rank of every position of the d^r dense cube; refuses d^r > MAX_DENSE_ENTRIES."""
+    if dim**order > MAX_DENSE_ENTRIES:
+        raise ValueError(f"dense cube d^r = {dim}^{order} = {dim**order} exceeds the budget {MAX_DENSE_ENTRIES}")
+    grid = np.sort(np.indices((dim,) * order).reshape(order, -1) + 1, axis=0)
+    ranks = _colex_ranks(grid.T)
     ranks.flags.writeable = False
     return ranks
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _canonical_flat_positions(dim: int, order: int) -> np.ndarray:
     """Flat dense position of the sorted representative of each rank."""
-    pos = np.empty(num_entries(dim, order), dtype=np.int64)
-    for rank, idx in enumerate(canonical_indices(dim, order)):
-        flat = 0
-        for v in idx:
-            flat = flat * dim + (v - 1)
-        pos[rank] = flat
+    pos = np.ravel_multi_index(np.array(canonical_indices(dim, order)).T - 1, (dim,) * order)
     pos.flags.writeable = False
     return pos
 
@@ -201,7 +201,6 @@ def tensor_from_entries(
     canonical index given twice with conflicting values is an error.
     """
     _check_shape(order, dim)
-    vals = np.zeros(num_entries(dim, order))
     seen: dict[MultiIndex, float] = {}
     for index, value in entries:
         idx = canonical_index(index, dim)
@@ -211,7 +210,8 @@ def tensor_from_entries(
         if idx in seen and seen[idx] != value:
             raise ValueError(f"conflicting values for index {idx}: {seen[idx]} vs {value}")
         seen[idx] = value
-        vals[canonical_rank(idx)] = value
+    vals = np.zeros(num_entries(dim, order))
+    vals[_colex_ranks(np.array(list(seen), dtype=np.int64).reshape(-1, order))] = list(seen.values())
     return SymmetricTensor(order, dim, vals)
 
 

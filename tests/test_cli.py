@@ -147,11 +147,17 @@ def test_dimension_mismatch_exits_two(workdir, capsys):
     save_pattern(pattern_from_partition(spec, 4), pat4_path)
     report_path, truth_path = workdir / "report.json", workdir / "truth.json"
     save_matrix(random_orthogonal(3, 8), truth_path)
-    recover = ["recover", "--in", str(data), "--restarts", "1", "--seed", "0", "--out", str(report_path)]
-    assert cli.run(recover + ["--pattern", str(pat4_path)]) == 0
+    # a 12^8 dense cube is over the budget, so recover refuses it with one line
+    data12, pat12_path = workdir / "wide.csv", workdir / "pattern12.json"
+    write_csv(data12, np.random.default_rng(0).standard_normal((50, 12)))
+    pat12_path.write_text(json.dumps({"kind": "partition", "order": 8, "dim": 12,
+                                      "blocks": [list(range(1, 7)), list(range(7, 13))]}))
+    recover = ["recover", "--restarts", "1", "--seed", "0", "--out", str(report_path)]
+    assert cli.run(recover + ["--in", str(data), "--pattern", str(pat4_path)]) == 0
     capsys.readouterr()
     cases = [
-        (recover + ["--pattern", str(pat3_path)], "pattern dim 3 != data column count 4"),
+        (recover + ["--in", str(data), "--pattern", str(pat3_path)], "pattern dim 3 != data column count 4"),
+        (recover + ["--in", str(data12), "--pattern", str(pat12_path), "--order", "8"], "d^r = 12^8 = 429981696"),
         (["verify", "--report", str(report_path), "--truth", str(truth_path), "--blocks", "2,2"], "(4, 4) != "),
     ]
     for argv, message in cases:

@@ -1,16 +1,46 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pica.partitions import cumulants_to_moments, enumerate_partitions, moments_to_cumulants
-from pica.tensor import SymmetricTensor, num_entries, tensor_from_entries
+from pica.tensor import SymmetricTensor, canonical_indices, num_entries, tensor_from_entries
 
 BELL = [1, 2, 5, 15, 52, 203]
 
 
 def random_sequence(dim, r, rng):
     return [SymmetricTensor(k, dim, rng.standard_normal(num_entries(dim, k))) for k in range(1, r + 1)]
+
+
+def per_entry_convert(tensors, weight):
+    """Reference partition sum: one Python product per entry, partition and block.
+
+    Sub-tuples are sorted and found by their position in the colex
+    enumeration, independently of the package's rank function.
+    """
+    dim = tensors[0].dim
+    position = {}
+    for t in tensors:
+        position.update((idx, rank) for rank, idx in enumerate(canonical_indices(dim, t.order)))
+    out = []
+    for k in range(1, len(tensors) + 1):
+        idxs = canonical_indices(dim, k)
+        vals = np.empty(len(idxs))
+        parts = enumerate_partitions(k)
+        for rank, idx in enumerate(idxs):
+            acc = 0.0
+            for part in parts:
+                term = weight(len(part))
+                for block in part:
+                    sub = tuple(sorted(idx[p - 1] for p in block))
+                    term *= float(tensors[len(sub) - 1].values[position[sub]])
+                acc += term
+            vals[rank] = acc
+        out.append(SymmetricTensor(k, dim, vals))
+    return out
 
 
 def test_r3_partitions_match_worked_example():
@@ -139,6 +169,20 @@ def test_round_trip_is_identity():
         back = cumulants_to_moments(moments_to_cumulants(mus))
         for m, b in zip(mus, back):
             assert m.allclose(b, 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 6), st.integers(0, 2**32 - 1))
+@example(2, 8, 0)
+def test_conversion_matches_per_entry_reference_bit_for_bit(dim, r, seed):
+    seq = random_sequence(dim, r, np.random.default_rng(seed))
+    conversions = [
+        (moments_to_cumulants, lambda m: (-1) ** (m - 1) * math.factorial(m - 1)),
+        (cumulants_to_moments, lambda m: 1.0),
+    ]
+    for convert, weight in conversions:
+        for got, want in zip(convert(seq), per_entry_convert(seq, weight), strict=True):
+            assert np.array_equal(got.values, want.values)
 
 
 def test_inconsistent_sequences_rejected():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from pica.tensor import (
     SymmetricTensor,
+    _colex_ranks,
     canonical_indices,
     canonical_rank,
     hessian_eval,
@@ -42,6 +43,8 @@ def test_rank_matches_colex_enumeration():
     for d, r in [(2, 2), (3, 2), (3, 4), (4, 3), (2, 8), (6, 3)]:
         for pos, idx in enumerate(canonical_indices(d, r)):
             assert canonical_rank(idx) == pos
+        ranks = _colex_ranks(np.array(canonical_indices(d, r)))
+        np.testing.assert_array_equal(ranks, np.arange(num_entries(d, r)))
 
 
 def test_unique_entry_count():
