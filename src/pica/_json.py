@@ -8,6 +8,7 @@ handling of malformed files are decided here.
 from __future__ import annotations
 
 import json
+import math
 
 
 def dump(obj, path) -> None:
@@ -20,10 +21,18 @@ def load(path, decode):
     """Parse the JSON object in ``path`` and return ``decode(obj)``.
 
     A file that parses but has the wrong shape, a non-object top level or
-    a field of the wrong type, raises ValueError naming the file.
+    a field of the wrong type, raises ValueError naming the file, and so
+    does a non-finite number: NaN, Infinity, or a literal that overflows.
     """
+
+    def finite(text):
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: non-finite number {text}")
+        return value
+
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        obj = json.load(fh, parse_float=finite, parse_constant=finite)
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(obj).__name__}")
     try:

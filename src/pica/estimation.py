@@ -12,6 +12,7 @@ would need to fix the row-block schedule to keep that property.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,11 +52,15 @@ def as_sample_matrix(x) -> np.ndarray:
     return x
 
 
+def _check_order(r: int) -> None:
+    if not 1 <= r <= MAX_ORDER:
+        raise ValueError(f"order must be in 1..{MAX_ORDER}, got {r}")
+
+
 def sample_moment(x: np.ndarray, r: int) -> SymmetricTensor:
     """Order-r raw moment tensor: entry (i_1..i_r) = mean of column products."""
     x = as_sample_matrix(x)
-    if not 1 <= r <= MAX_ORDER:
-        raise ValueError(f"order must be in 1..{MAX_ORDER}, got {r}")
+    _check_order(r)
     d = x.shape[1]
     idxs = canonical_indices(d, r)
     vals = np.empty(len(idxs))
@@ -69,6 +74,7 @@ def sample_moment(x: np.ndarray, r: int) -> SymmetricTensor:
 
 def sample_moments(x: np.ndarray, r: int) -> list[SymmetricTensor]:
     """Moment tensors of orders 1..r."""
+    _check_order(r)
     return [sample_moment(x, k) for k in range(1, r + 1)]
 
 
@@ -119,7 +125,10 @@ def whiten(x: np.ndarray) -> WhiteningResult:
 
 def read_csv(path) -> np.ndarray:
     """Headerless comma-separated observations, one row per sample."""
-    data = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+    with warnings.catch_warnings():
+        # an empty file is reported by as_sample_matrix, not by numpy's warning
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
     return as_sample_matrix(data)
 
 

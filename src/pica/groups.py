@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Iterator
 
@@ -54,6 +54,11 @@ MAX_BLOCKS = 8
 
 DEFAULT_TOL_ZERO = 1e-10
 RANK_TOL_RATIO = 1e-6
+
+# conjecture_probe: membership tolerance for the transformed generic
+# members, and how many signed permutations it samples above dim 4.
+_PROBE_MEMBERSHIP_TOL = 1e-8
+_PROBE_SAMPLES = 500
 
 
 @dataclass(frozen=True)
@@ -136,16 +141,21 @@ def random_signed_permutation(d: int, rng: int | np.random.Generator) -> np.ndar
     return out
 
 
-def compatible_block_permutations(structure: BlockStructure) -> Iterator[tuple[int, ...]]:
-    """Block permutations sigma with k_sigma(i) = k_i, in deterministic order."""
+def _size_classes(structure: BlockStructure) -> list[list[int]]:
+    """Block indices grouped by block size, smallest size first."""
     classes: dict[int, list[int]] = defaultdict(list)
     for i, k in enumerate(structure.sizes):
         classes[k].append(i)
-    keys = sorted(classes)
-    for combo in itertools.product(*(itertools.permutations(classes[k]) for k in keys)):
+    return [classes[k] for k in sorted(classes)]
+
+
+def compatible_block_permutations(structure: BlockStructure) -> Iterator[tuple[int, ...]]:
+    """Block permutations sigma with k_sigma(i) = k_i, in deterministic order."""
+    classes = _size_classes(structure)
+    for combo in itertools.product(*(itertools.permutations(members) for members in classes)):
         sigma = [0] * structure.count
-        for k, perm in zip(keys, combo):
-            for src, dst in zip(classes[k], perm):
+        for members, perm in zip(classes, combo):
+            for src, dst in zip(members, perm):
                 sigma[src] = dst
         yield tuple(sigma)
 
@@ -157,12 +167,8 @@ def random_block_orthogonal(structure: BlockStructure, rng: int | np.random.Gene
     blocks permuted independently), so every admissible shape occurs.
     """
     g = as_generator(rng)
-    classes: dict[int, list[int]] = defaultdict(list)
-    for i, k in enumerate(structure.sizes):
-        classes[k].append(i)
     sigma = [0] * structure.count
-    for k in sorted(classes):
-        members = classes[k]
+    for members in _size_classes(structure):
         for src, dst in zip(members, g.permutation(members)):
             sigma[src] = int(dst)
     out = np.zeros((structure.dim, structure.dim))
@@ -194,6 +200,17 @@ class BlockClassification:
         return sum(l == label for row in self.labels for l in row)
 
 
+def _block_map(q: np.ndarray, structure: BlockStructure, fn) -> np.ndarray:
+    """m x m array of fn(block) over the block grid of q."""
+    m = structure.count
+    return np.array([[fn(structure.block(q, i, j)) for j in range(m)] for i in range(m)])
+
+
+def _block_peaks(q: np.ndarray, structure: BlockStructure) -> np.ndarray:
+    """Largest absolute entry of each block."""
+    return _block_map(q, structure, lambda blk: np.abs(blk).max())
+
+
 def classify_blocks(
     q: np.ndarray,
     structure: BlockStructure,
@@ -210,31 +227,14 @@ def classify_blocks(
     identifiability degrades.
     """
     q = _check_square(q, structure.dim)
-    m = structure.count
-    smin = np.zeros((m, m))
-    smax_all = 0.0
-    svals: dict[tuple[int, int], np.ndarray] = {}
-    for i in range(m):
-        for j in range(m):
-            s = np.linalg.svd(structure.block(q, i, j), compute_uv=False)
-            svals[i, j] = s
-            smin[i, j] = s[-1]
-            smax_all = max(smax_all, s[0])
+    extremes = _block_map(q, structure, lambda blk: np.linalg.svd(blk, compute_uv=False)[[-1, 0]])
+    smin = extremes[..., 0]
     if tol_rank is None:
-        tol_rank = RANK_TOL_RATIO * smax_all
-    labels = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            blk = structure.block(q, i, j)
-            if np.abs(blk).max() <= tol_zero:
-                row.append(BlockLabel.ZERO)
-            elif smin[i, j] >= tol_rank:
-                row.append(BlockLabel.FULL_RANK)
-            else:
-                row.append(BlockLabel.SINGULAR_NONZERO)
-        labels.append(tuple(row))
-    return BlockClassification(structure, tuple(labels), smin, tol_zero, tol_rank)
+        tol_rank = RANK_TOL_RATIO * extremes[..., 1].max()
+    # first condition that holds picks the label, in BlockLabel's order
+    kinds = np.select([_block_peaks(q, structure) <= tol_zero, smin >= tol_rank], [0, 1], 2)
+    labels = tuple(tuple(list(BlockLabel)[k] for k in row) for row in kinds)
+    return BlockClassification(structure, labels, smin, tol_zero, tol_rank)
 
 
 def is_signed_permutation(q: np.ndarray, tol: float = DEFAULT_TOL_ZERO) -> bool:
@@ -250,11 +250,7 @@ def is_signed_permutation(q: np.ndarray, tol: float = DEFAULT_TOL_ZERO) -> bool:
 
 def _block_support(q: np.ndarray, structure: BlockStructure, tol: float) -> np.ndarray | None:
     """0/1 block-occupancy matrix, or None when some row/column has != 1 block."""
-    m = structure.count
-    occ = np.zeros((m, m), dtype=bool)
-    for i in range(m):
-        for j in range(m):
-            occ[i, j] = np.abs(structure.block(q, i, j)).max() > tol
+    occ = _block_peaks(q, structure) > tol
     if not (occ.sum(axis=0) == 1).all() or not (occ.sum(axis=1) == 1).all():
         return None
     return occ
@@ -305,10 +301,7 @@ def coset_residual(w: np.ndarray, structure: BlockStructure) -> tuple[float, tup
     """
     w = _check_square(w, structure.dim)
     m = structure.count
-    mass = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            mass[i, j] = float(np.sum(structure.block(w, i, j) ** 2))
+    mass = _block_map(w, structure, lambda blk: np.sum(blk**2))
     best_assign: tuple[int, ...] | None = None
     best_mass = -np.inf
     for sigma in compatible_block_permutations(structure):
@@ -390,18 +383,7 @@ class ProbeReport:
         return not self.disagreements
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "order": self.order,
-            "trials": self.trials,
-            "exhaustive": self.exhaustive,
-            "matrices_checked": self.matrices_checked,
-            "automorphism_count": self.automorphism_count,
-            "agreements": self.agreements,
-            "disagreements": self.disagreements,
-            "per_matrix": self.per_matrix,
-            "conjecture_holds": self.conjecture_holds,
-        }
+        return {**asdict(self), "conjecture_holds": self.conjecture_holds}
 
 
 def conjecture_probe(
@@ -409,19 +391,20 @@ def conjecture_probe(
     order: int,
     trials: int,
     rng: int | np.random.Generator = 0,
-    membership_tol: float = 1e-8,
-    samples: int = 500,
 ) -> ProbeReport:
     """Probe: signed permutation preserves the graph pattern iff automorphism.
 
     Enumerates signed permutations exhaustively for dim <= 4 and samples
-    them otherwise; for each, tests pattern preservation on ``trials``
-    generic pattern members against the automorphism predicate on the
-    unsigned permutation.  Any mismatch is a counterexample candidate.
+    _PROBE_SAMPLES of them otherwise; for each, tests pattern preservation
+    on ``trials`` generic pattern members against the automorphism
+    predicate on the unsigned permutation.  Any mismatch is a
+    counterexample candidate.
     """
     d = graph.dim
     if d > 6 or order > 4:
         raise ValueError("probe supports dim <= 6 and order <= 4")
+    if trials < 1:
+        raise ValueError(f"probe needs trials >= 1, got {trials}")
     g = as_generator(rng)
     pattern = pattern_from_graph(graph, order)
     tensors = [generic_sample(pattern, rng=g) for _ in range(trials)]
@@ -430,7 +413,7 @@ def conjecture_probe(
     if exhaustive:
         matrices = list(signed_permutations(d))
     else:
-        matrices = [random_signed_permutation(d, g) for _ in range(samples)]
+        matrices = [random_signed_permutation(d, g) for _ in range(_PROBE_SAMPLES)]
 
     agreements = 0
     disagreements: list[dict] = []
@@ -441,7 +424,7 @@ def conjecture_probe(
         automorphism_count += auto
         verdicts = []
         for ti, t in enumerate(tensors):
-            res = is_member(multilinear_transform(q, t), pattern, membership_tol)
+            res = is_member(multilinear_transform(q, t), pattern, _PROBE_MEMBERSHIP_TOL)
             verdicts.append(bool(res.member))
             if res.member == auto:
                 agreements += 1

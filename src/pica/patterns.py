@@ -3,9 +3,9 @@
 A ZeroPattern marks the canonical entries of an order-r tensor that some
 independence hypothesis forces to vanish.  Membership of a tensor in the
 corresponding variety is then a max-violation check over the marked
-entries.  Patterns materialize their zero set as a boolean mask over the
-canonical index list at construction time, since recovery queries them
-millions of times.
+entries.  Patterns materialize their zero set once, at construction, as a
+boolean mask over the canonical index list; ``dense_zero_mask`` spreads it
+over the d^r cube that recovery works on.
 
 Kinds:
   partition          two indices in distinct blocks
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 import numpy as np
 
@@ -152,10 +152,6 @@ class ZeroPattern:
             raise ValueError(f"index length {len(idx)} != order {self.order}")
         return bool(self.zero_mask[canonical_rank(idx)])
 
-    @property
-    def free_mask(self) -> np.ndarray:
-        return ~self.zero_mask
-
     def zero_count(self) -> int:
         return int(self.zero_mask.sum())
 
@@ -204,8 +200,12 @@ def pattern_from_partition(spec: PartitionSpec, order: int) -> ZeroPattern:
     return _build("partition", order, spec.dim, zero, {"blocks": [list(b) for b in spec.blocks]})
 
 
-def _components(vertices: tuple[int, ...], edges: frozenset) -> int:
-    """Connected component count of the induced subgraph, by union-find."""
+def _components(vertices: Collection[int], edges: frozenset) -> list[tuple[int, ...]]:
+    """Connected components of the induced subgraph, by union-find.
+
+    Each component lists its vertices in the order of ``vertices``, and
+    components come in the order of their first vertex.
+    """
     parent = {v: v for v in vertices}
 
     def find(v):
@@ -219,7 +219,10 @@ def _components(vertices: tuple[int, ...], edges: frozenset) -> int:
             ru, rv = find(u), find(v)
             if ru != rv:
                 parent[ru] = rv
-    return len({find(v) for v in vertices})
+    components: dict[int, list[int]] = {}
+    for v in vertices:
+        components.setdefault(find(v), []).append(v)
+    return [tuple(c) for c in components.values()]
 
 
 def pattern_from_graph(graph: IndependenceGraph, order: int) -> ZeroPattern:
@@ -232,10 +235,7 @@ def pattern_from_graph(graph: IndependenceGraph, order: int) -> ZeroPattern:
     edges = graph.edges
 
     def zero(idx: MultiIndex) -> bool:
-        verts = tuple(set(idx))
-        if len(verts) == 1:
-            return False
-        return _components(verts, edges) > 1
+        return len(_components(set(idx), edges)) > 1
 
     return _build("graph", order, graph.dim, zero, {"edges": [list(e) for e in graph.sorted_edges()]})
 

@@ -27,7 +27,6 @@ from ._rng import substream
 from .estimation import sample_cumulant, whiten
 from .groups import (
     BlockStructure,
-    classify_blocks,
     coset_residual,
     is_signed_permutation,
     nearest_signed_permutation,
@@ -53,6 +52,9 @@ __all__ = [
 
 # A restart stops once a sweep lowers the objective by less than this.
 _SWEEP_TOL = 1e-14
+
+# Sample-scale tolerance for comon_pipeline's signed-permutation verdict.
+_SIGNED_PERMUTATION_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -313,13 +315,12 @@ def comon_pipeline(
     y: np.ndarray,
     opts: RecoveryOptions | None = None,
     a_true: np.ndarray | None = None,
-    sp_tol: float = 0.05,
 ) -> RecoveryReport:
     """Classical recovery: off-diagonal cumulant minimization.
 
     With ground truth supplied, the report records whether W A_true is a
-    signed permutation within sp_tol, plus the max-abs deviation after
-    sign and permutation alignment.
+    signed permutation within _SIGNED_PERMUTATION_TOL, plus the max-abs
+    deviation after sign and permutation alignment.
     """
     opts = opts or RecoveryOptions()
     y = np.asarray(y, dtype=float)
@@ -330,28 +331,11 @@ def comon_pipeline(
         _, deviation = nearest_signed_permutation(product)
         report.extras["signed_permutation_deviation"] = deviation
         report.extras["is_signed_permutation"] = bool(
-            deviation <= sp_tol and is_signed_permutation(product, tol=sp_tol)
+            deviation <= _SIGNED_PERMUTATION_TOL and is_signed_permutation(product, tol=_SIGNED_PERMUTATION_TOL)
         )
         singles = BlockStructure((1,) * y.shape[1])
         report.extras["coset_residual"] = coset_residual(product, singles)[0]
     return report
-
-
-def recovered_block_classification(
-    report: RecoveryReport,
-    a_true: np.ndarray,
-    structure: BlockStructure,
-    tol_zero: float = 0.05,
-    tol_rank: float | None = None,
-):
-    """Classify the blocks of W A_true; one full-rank block per row and
-    column signals a clean recovery.
-
-    The default zero threshold is sample-scale: finite-sample noise leaves
-    entries of order n^(-1/2) in the blocks that are zero in population.
-    """
-    product = report.unmixing @ np.asarray(a_true, dtype=float)
-    return classify_blocks(product, structure, tol_zero=tol_zero, tol_rank=tol_rank)
 
 
 def report_to_json(report: RecoveryReport) -> dict:

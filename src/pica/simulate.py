@@ -15,6 +15,7 @@ Distribution tags (all standardized to mean 0, variance 1):
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from . import _json
 from ._rng import as_generator, child_generators
 from .estimation import whiten
-from .patterns import IndependenceGraph, PartitionSpec
+from .patterns import IndependenceGraph, PartitionSpec, _components
 
 __all__ = [
     "DIST_TAGS",
@@ -135,30 +136,10 @@ def _chain(graph: IndependenceGraph) -> bool:
 
 def _complete_components(graph: IndependenceGraph) -> PartitionSpec | None:
     """Partition spec when every connected component is a complete graph."""
-    d = graph.dim
-    adj = {v: set() for v in range(1, d + 1)}
-    for u, v in graph.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen: set[int] = set()
-    blocks = []
-    for v in range(1, d + 1):
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        for u in comp:
-            if adj[u] != comp - {u}:
-                return None
-        blocks.append(tuple(sorted(comp)))
-    return PartitionSpec(d, tuple(blocks))
+    blocks = _components(range(1, graph.dim + 1), graph.edges)
+    if all(pair in graph.edges for block in blocks for pair in itertools.combinations(block, 2)):
+        return PartitionSpec(graph.dim, tuple(blocks))
+    return None
 
 
 def gen_graph_sources(n: int, graph: IndependenceGraph, rng: int | np.random.Generator) -> np.ndarray:

@@ -139,10 +139,6 @@ class SymmetricTensor:
     def __setattr__(self, name, value):
         raise AttributeError("SymmetricTensor is immutable")
 
-    @classmethod
-    def zeros(cls, order: int, dim: int) -> "SymmetricTensor":
-        return cls(order, dim)
-
     def lookup(self, index: Sequence[int]) -> float:
         """Entry at ``index``; invariant under permutations of the tuple."""
         idx = canonical_index(index, self.dim)

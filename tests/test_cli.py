@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -208,6 +209,11 @@ def test_io_errors_exit_two(workdir, capsys):
     save_pattern(diagonal_pattern(2, 2), pattern_path)
     data = workdir / "data.csv"
     write_csv(data, np.random.default_rng(0).standard_normal((50, 4)))
+    report_path, pattern4_path = workdir / "report.json", workdir / "p4.json"
+    save_pattern(diagonal_pattern(4, 4), pattern4_path)
+    assert cli.run(["recover", "--in", str(data), "--pattern", str(pattern4_path), "--restarts", "1",
+                    "--seed", "0", "--out", str(report_path)]) == 0
+    verify = ["verify", "--report", str(report_path), "--truth", str(bad), "--blocks", "2,2"]
     malformed = [
         ({"order": 2, "dim": 2, "entries": None},
          ["check", "--tensor", str(bad), "--pattern", str(pattern_path)]),
@@ -218,13 +224,40 @@ def test_io_errors_exit_two(workdir, capsys):
         ({"d": 3, "edges": 5}, ["probe", "--graph", str(bad), "--seed", "0"]),
         ([{"kind": "independent", "d": 2}],
          ["simulate", "--spec", str(bad), "--n", "10", "--seed", "0", "--out", str(workdir / "x.csv")]),
+        # non-finite numbers, written as JSON's NaN/Infinity tokens or as an overflowing literal
+        ({"dim": 4, "rows": np.where(np.eye(4) > 0, 1.0, np.nan).tolist()}, verify),
+        ('{"dim": 4, "rows": [[1e999, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}', verify),
+        ({"order": 2, "dim": 2, "entries": [{"idx": [1, 2], "val": float("nan")}]},
+         ["check", "--tensor", str(bad), "--pattern", str(pattern_path)]),
+        ({"order": 2, "dim": 2, "entries": [{"idx": [1, 2], "val": -float("inf")}]},
+         ["check", "--tensor", str(bad), "--pattern", str(pattern_path)]),
     ]
     capsys.readouterr()
     for content, argv in malformed:
-        bad.write_text(json.dumps(content))
+        bad.write_text(content if isinstance(content, str) else json.dumps(content))
         assert cli.run(argv) == 2, argv
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "bad.json" in err[0], err
+
+
+def test_empty_and_out_of_range_inputs_exit_two(workdir, capsys):
+    graph_path, empty_csv, data = workdir / "graph.json", workdir / "empty.csv", workdir / "data.csv"
+    graph_path.write_text(json.dumps({"d": 3, "edges": [[1, 2], [1, 3]]}))
+    empty_csv.write_text("")
+    write_csv(data, np.random.default_rng(0).standard_normal((50, 2)))
+    out = str(workdir / "o.json")
+    cases = [
+        (["probe", "--graph", str(graph_path), "--trials", "0", "--seed", "0"], "trials >= 1, got 0"),
+        (["probe", "--graph", str(graph_path), "--trials", "-1", "--seed", "0"], "trials >= 1, got -1"),
+        (["cumulants", "--in", str(empty_csv), "--order", "4", "--out", out], "must be non-empty"),
+        (["cumulants", "--in", str(data), "--order", "0", "--out", out], "order must be in 1..8, got 0"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would be a second stderr line
+        for argv, message in cases:
+            assert cli.run(argv) == 2, argv
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and message in err[0], err
 
 
 def test_simulate_rejects_bad_spec(workdir):

@@ -296,6 +296,9 @@ def test_conjecture_probe_bounds():
     big = IndependenceGraph(7, [(1, 2)])
     with pytest.raises(ValueError):
         conjecture_probe(big, 3, trials=1)
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials >= 1"):
+            conjecture_probe(IndependenceGraph(3, [(1, 2)]), 3, trials=trials)
 
 
 def test_block_orthogonal_preserves_partition_pattern():
