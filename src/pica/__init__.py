@@ -51,6 +51,7 @@ from .patterns import (
     sample_membership_tol,
 )
 from .recovery import (
+    DescentError,
     IdentifiabilityReport,
     RecoveryOptions,
     RecoveryReport,

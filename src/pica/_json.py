@@ -10,11 +10,36 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
+
 
 def dump(obj, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
+
+
+def number(value) -> float:
+    """``value`` as a float; TypeError unless it is a JSON number that fits a float.
+
+    Decoders use this instead of ``float``, which would also accept strings
+    such as ``"nan"``.  ``load`` reports the TypeError with the file's name.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise TypeError(f"number {value} overflows a float") from None
+
+
+def _floats(value):
+    return [_floats(v) for v in value] if isinstance(value, list) else number(value)
+
+
+def array(value) -> np.ndarray:
+    """Float array from (nested lists of) JSON numbers, checked by ``number``."""
+    return np.array(_floats(value))
 
 
 def load(path, decode):

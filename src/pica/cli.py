@@ -5,8 +5,9 @@ check pattern membership, recover an unmixing matrix, verify it against
 ground truth, and probe the graph-automorphism conjecture.
 
 Exit codes: 0 success or positive verdict, 1 usage error, 2 I/O or format
-error (including degenerate input data), 3 negative verdict.  Verdicts get
-their own code so shell pipelines can branch on mathematical outcomes.
+error (including degenerate input data, and a recovery whose descent fails
+its monotone check), 3 negative verdict.  Verdicts get their own code so
+shell pipelines can branch on mathematical outcomes.
 """
 
 from __future__ import annotations
@@ -176,6 +177,9 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_IO
     except (ValueError, estimation.DegenerateDataError) as exc:
         print(f"pica: invalid input: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except recovery.DescentError as exc:
+        print(f"pica: descent failed: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

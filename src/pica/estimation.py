@@ -5,20 +5,26 @@ row.  Estimators are plug-in (divide by n): this keeps the multilinear
 identity kappa_r(X A^T) = A . kappa_r(X) exact at the sample level, at
 the cost of bias that is irrelevant at desk scale.
 
-Moment accumulation is a single serial pass per entry (numpy pairwise
-summation), so results are bit-reproducible; a parallel implementation
-would need to fix the row-block schedule to keep that property.
+Moments of all orders come from one depth-first walk over the
+non-decreasing index tuples, each product column extending its parent's by
+one column.  That is the left-to-right product x_{i_1} x_{i_2} ... x_{i_k}
+with the same roundings as multiplying the columns one after another, and
+each mean is numpy's pairwise sum over one contiguous column.  Neither
+depends on the walk order or on the input's memory layout, so results are
+bit-reproducible; a parallel or row-blocked implementation would need a
+fixed block schedule to keep that property.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .partitions import moments_to_cumulants
-from .tensor import MAX_ORDER, SymmetricTensor, canonical_indices
+from .tensor import SymmetricTensor, _check_shape, _colex_ranks, num_entries
 
 __all__ = [
     "DegenerateDataError",
@@ -52,30 +58,45 @@ def as_sample_matrix(x) -> np.ndarray:
     return x
 
 
-def _check_order(r: int) -> None:
-    if not 1 <= r <= MAX_ORDER:
-        raise ValueError(f"order must be in 1..{MAX_ORDER}, got {r}")
+def sample_moments(x: np.ndarray, r: int) -> list[SymmetricTensor]:
+    """Raw moment tensors of orders 1..r: entry (i_1..i_k) = mean of column products.
+
+    One depth-first walk: the r-tuples in lex order pass every shorter
+    non-decreasing tuple as a prefix, each once, and a tuple's product column
+    is its parent's times column i_k, kept in one preallocated row per depth.
+    Means are gathered in walk (lex) order and placed by colex rank.
+    """
+    x = as_sample_matrix(x)
+    n, d = x.shape
+    _check_shape(r, d)
+    cols = np.ascontiguousarray(x.T)
+    # rows[k]: product column of the current (k+1)-prefix; order 1 reads a column of the copy
+    rows = [cols[0], *np.empty((r - 1, n))]
+    walked = [np.empty(num_entries(d, k)) for k in range(1, r + 1)]
+    filled = [0] * r
+    prev = (-1,) * r
+    for tup in itertools.combinations_with_replacement(range(d), r):
+        start = next(k for k in range(r) if tup[k] != prev[k])
+        for k in range(start, r):
+            if k == 0:
+                rows[0] = cols[tup[0]]
+            else:
+                np.multiply(rows[k - 1], cols[tup[k]], out=rows[k])
+            walked[k][filled[k]] = rows[k].mean()
+            filled[k] += 1
+        prev = tup
+    out = []
+    for k, means in enumerate(walked, start=1):
+        lex = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(1, d + 1), k))
+        vals = np.empty_like(means)
+        vals[_colex_ranks(np.fromiter(lex, dtype=np.int64).reshape(-1, k))] = means
+        out.append(SymmetricTensor(k, d, vals))
+    return out
 
 
 def sample_moment(x: np.ndarray, r: int) -> SymmetricTensor:
-    """Order-r raw moment tensor: entry (i_1..i_r) = mean of column products."""
-    x = as_sample_matrix(x)
-    _check_order(r)
-    d = x.shape[1]
-    idxs = canonical_indices(d, r)
-    vals = np.empty(len(idxs))
-    for rank, idx in enumerate(idxs):
-        prod = x[:, idx[0] - 1].copy()
-        for col in idx[1:]:
-            prod *= x[:, col - 1]
-        vals[rank] = prod.mean()
-    return SymmetricTensor(r, d, vals)
-
-
-def sample_moments(x: np.ndarray, r: int) -> list[SymmetricTensor]:
-    """Moment tensors of orders 1..r."""
-    _check_order(r)
-    return [sample_moment(x, k) for k in range(1, r + 1)]
+    """Order-r raw moment tensor; the last of ``sample_moments(x, r)``."""
+    return sample_moments(x, r)[-1]
 
 
 def sample_cumulant(x: np.ndarray, r: int) -> SymmetricTensor:

@@ -300,16 +300,16 @@ def coset_residual(w: np.ndarray, structure: BlockStructure) -> tuple[float, tup
     holding block row i's mass.
     """
     w = _check_square(w, structure.dim)
+    if not np.isfinite(w).all():
+        raise ValueError("matrix contains non-finite values")
     m = structure.count
     mass = _block_map(w, structure, lambda blk: np.sum(blk**2))
-    best_assign: tuple[int, ...] | None = None
-    best_mass = -np.inf
-    for sigma in compatible_block_permutations(structure):
-        captured = sum(mass[i, sigma[i]] for i in range(m))
-        if captured > best_mass:
-            best_mass = captured
-            best_assign = sigma
-    assert best_assign is not None
+
+    def captured(sigma):
+        return sum(mass[i, sigma[i]] for i in range(m))
+
+    best_assign = max(compatible_block_permutations(structure), key=captured)
+    best_mass = captured(best_assign)
     off_mass = float(mass.sum() - best_mass)
     defect_sq = 0.0
     for i in range(m):
@@ -461,8 +461,7 @@ def matrix_to_json(q: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    q = np.array(obj["rows"], dtype=float)
-    return _check_square(q, int(obj["dim"]))
+    return _check_square(_json.array(obj["rows"]), int(obj["dim"]))
 
 
 def save_matrix(q: np.ndarray, path) -> None:

@@ -36,6 +36,7 @@ from .patterns import ZeroPattern, diagonal_pattern
 from .tensor import SymmetricTensor, _transform_modewise
 
 __all__ = [
+    "DescentError",
     "RecoveryOptions",
     "RecoveryReport",
     "IdentifiabilityReport",
@@ -55,6 +56,10 @@ _SWEEP_TOL = 1e-14
 
 # Sample-scale tolerance for comon_pipeline's signed-permutation verdict.
 _SIGNED_PERMUTATION_TOL = 0.05
+
+
+class DescentError(RuntimeError):
+    """A Givens sweep raised the objective it is built never to raise."""
 
 
 @dataclass(frozen=True)
@@ -175,7 +180,7 @@ def _descend(
                     q[[i, j]] = c * q[i] - s * q[j], s * q[i] + c * q[j]
         energy = _dense_energy(dense, mask)
         if energy > previous + 1e-12 * (1.0 + previous):
-            raise RuntimeError(f"objective increased within a sweep: {previous} -> {energy}")
+            raise DescentError(f"objective increased within a sweep: {previous} -> {energy}")
         if previous - energy < _SWEEP_TOL:
             break
         previous = energy
@@ -356,12 +361,12 @@ def report_to_json(report: RecoveryReport) -> dict:
 
 def report_from_json(obj: dict) -> RecoveryReport:
     return RecoveryReport(
-        unmixing=np.array(obj["unmixing"], dtype=float),
-        whitening=np.array(obj["whitening"], dtype=float),
-        rotation=np.array(obj["rotation"], dtype=float),
-        mean=np.array(obj["mean"], dtype=float),
-        objective=float(obj["objective"]),
-        objective_per_restart=[float(v) for v in obj["objective_per_restart"]],
+        unmixing=_json.array(obj["unmixing"]),
+        whitening=_json.array(obj["whitening"]),
+        rotation=_json.array(obj["rotation"]),
+        mean=_json.array(obj["mean"]),
+        objective=_json.number(obj["objective"]),
+        objective_per_restart=[_json.number(v) for v in obj["objective_per_restart"]],
         best_restart=int(obj["best_restart"]),
         sweeps_per_restart=[int(v) for v in obj["sweeps_per_restart"]],
         order=int(obj["order"]),

@@ -52,11 +52,21 @@ def _check_shape(order: int, dim: int) -> None:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
+    _check_entry_budget(dim, order)
 
 
 def num_entries(dim: int, order: int) -> int:
     """Number of unique entries of an order-``order`` tensor on R^dim."""
     return math.comb(dim + order - 1, order)
+
+
+def _check_entry_budget(dim: int, order: int) -> None:
+    """Refuse more than MAX_DENSE_ENTRIES unique entries; nothing is built first."""
+    count = num_entries(dim, order)
+    if count > MAX_DENSE_ENTRIES:
+        raise ValueError(
+            f"d = {dim}, r = {order} has C(d+r-1, r) = {count} unique entries, over the budget {MAX_DENSE_ENTRIES}"
+        )
 
 
 def canonical_index(index: Sequence[int], dim: int) -> MultiIndex:
@@ -90,6 +100,7 @@ def canonical_rank(index: MultiIndex) -> int:
 @lru_cache(maxsize=16)
 def canonical_indices(dim: int, order: int) -> tuple[MultiIndex, ...]:
     """All canonical index tuples in colexicographic order."""
+    _check_entry_budget(dim, order)
     combos = itertools.combinations_with_replacement(range(1, dim + 1), order)
     return tuple(sorted(combos, key=lambda t: t[::-1]))
 
@@ -288,7 +299,7 @@ def tensor_to_json(tensor: SymmetricTensor) -> dict:
 
 
 def tensor_from_json(obj: dict) -> SymmetricTensor:
-    entries = [(tuple(e["idx"]), float(e["val"])) for e in obj.get("entries", [])]
+    entries = [(tuple(e["idx"]), _json.number(e["val"])) for e in obj.get("entries", [])]
     return tensor_from_entries(int(obj["order"]), int(obj["dim"]), entries)
 
 

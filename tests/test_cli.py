@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pica import cli
+from pica import cli, recovery
 from pica.estimation import read_csv, sample_cumulant, write_csv
 from pica.groups import random_orthogonal, save_matrix
 from pica.patterns import (
@@ -231,6 +231,13 @@ def test_io_errors_exit_two(workdir, capsys):
          ["check", "--tensor", str(bad), "--pattern", str(pattern_path)]),
         ({"order": 2, "dim": 2, "entries": [{"idx": [1, 2], "val": -float("inf")}]},
          ["check", "--tensor", str(bad), "--pattern", str(pattern_path)]),
+        # numbers written as JSON strings (or booleans) are not numbers
+        ({"order": 2, "dim": 2, "entries": [{"idx": [1, 2], "val": "nan"}]},
+         ["check", "--tensor", str(bad), "--pattern", str(pattern_path)]),
+        ({"dim": 4, "rows": np.where(np.eye(4) > 0, "1", "0").tolist()}, verify),
+        ({"dim": 4, "rows": np.eye(4, dtype=bool).tolist()}, verify),
+        ('{"order": 2, "dim": 2, "entries": [{"idx": [1, 2], "val": 1' + "0" * 400 + "}]}",
+         ["check", "--tensor", str(bad), "--pattern", str(pattern_path)]),
     ]
     capsys.readouterr()
     for content, argv in malformed:
@@ -245,12 +252,16 @@ def test_empty_and_out_of_range_inputs_exit_two(workdir, capsys):
     graph_path.write_text(json.dumps({"d": 3, "edges": [[1, 2], [1, 3]]}))
     empty_csv.write_text("")
     write_csv(data, np.random.default_rng(0).standard_normal((50, 2)))
+    wide = workdir / "wide.csv"
+    write_csv(wide, np.random.default_rng(0).standard_normal((1, 60)))
     out = str(workdir / "o.json")
     cases = [
         (["probe", "--graph", str(graph_path), "--trials", "0", "--seed", "0"], "trials >= 1, got 0"),
         (["probe", "--graph", str(graph_path), "--trials", "-1", "--seed", "0"], "trials >= 1, got -1"),
         (["cumulants", "--in", str(empty_csv), "--order", "4", "--out", out], "must be non-empty"),
         (["cumulants", "--in", str(data), "--order", "0", "--out", out], "order must be in 1..8, got 0"),
+        # C(67, 8) unique entries are refused before any tuple is built
+        (["cumulants", "--in", str(wide), "--order", "8", "--out", out], "d = 60, r = 8 has C(d+r-1, r) = 6522361560"),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning would be a second stderr line
@@ -258,6 +269,21 @@ def test_empty_and_out_of_range_inputs_exit_two(workdir, capsys):
             assert cli.run(argv) == 2, argv
             err = capsys.readouterr().err.strip().splitlines()
             assert len(err) == 1 and message in err[0], err
+
+
+def test_descent_failure_exits_two(workdir, capsys, monkeypatch):
+    def non_monotone(*args):
+        raise recovery.DescentError("objective increased within a sweep: 0.5 -> 0.75")
+
+    monkeypatch.setattr(recovery, "_descend", non_monotone)
+    data, pattern_path = workdir / "data.csv", workdir / "p.json"
+    write_csv(data, np.random.default_rng(0).standard_normal((50, 2)))
+    save_pattern(diagonal_pattern(2, 4), pattern_path)
+    argv = ["recover", "--in", str(data), "--pattern", str(pattern_path), "--restarts", "1",
+            "--seed", "0", "--out", str(workdir / "r.json")]
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["pica: descent failed: objective increased within a sweep: 0.5 -> 0.75"]
 
 
 def test_simulate_rejects_bad_spec(workdir):

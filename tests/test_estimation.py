@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pica.estimation import (
     DegenerateDataError,
@@ -7,11 +11,50 @@ from pica.estimation import (
     read_csv,
     sample_cumulant,
     sample_moment,
+    sample_moments,
     whiten,
     write_csv,
 )
-from pica.partitions import cumulants_to_moments
-from pica.tensor import SymmetricTensor, multilinear_transform, tensor_from_entries
+from pica.partitions import cumulants_to_moments, moments_to_cumulants
+from pica.tensor import (
+    MAX_DENSE_ENTRIES,
+    SymmetricTensor,
+    canonical_indices,
+    multilinear_transform,
+    tensor_from_entries,
+)
+
+
+def reference_moment(x, r):
+    """Per-entry product loop: each column product rebuilt from scratch, left to right."""
+    idxs = canonical_indices(x.shape[1], r)
+    vals = np.empty(len(idxs))
+    for rank, idx in enumerate(idxs):
+        prod = x[:, idx[0] - 1].copy()
+        for col in idx[1:]:
+            prod *= x[:, col - 1]
+        vals[rank] = prod.mean()
+    return vals
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.integers(1, 8),
+    st.integers(1, 40),
+    st.sampled_from(["C", "F", "slice"]),
+    st.integers(0, 2**32 - 1),
+)
+@example(1, 8, 1, "C", 0)
+@example(5, 8, 1, "slice", 1)
+@example(3, 4, 3, "F", 2)
+def test_walk_matches_per_entry_reference_bit_for_bit(d, r, n, layout, seed):
+    wide = np.random.default_rng(seed).standard_normal((n, d + 2))
+    x = {"C": np.ascontiguousarray(wide[:, :d]), "F": np.asfortranarray(wide[:, :d]), "slice": wide[:, 1 : d + 1]}[layout]
+    moments = sample_moments(x, r)
+    assert [m.order for m in moments] == list(range(1, r + 1))
+    for k, m in enumerate(moments, start=1):
+        assert np.array_equal(m.values, reference_moment(x, k)), (k, layout)
 
 
 def test_constant_rows_moment():
@@ -133,6 +176,40 @@ def test_whiten_degenerate_data():
     x = np.column_stack([col, col])  # rank 1
     with pytest.raises(DegenerateDataError):
         whiten(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 8), st.integers(1, 60), st.integers(0, 2**32 - 1))
+@example(4, 8, 60, 0)
+def test_sample_cumulant_equivariance(d, r, n, seed):
+    # kappa_r(X A^T) = A . kappa_r(X) holds exactly for plug-in estimators; rounding
+    # is measured against (max |x| * max row sum |A|)^r, which bounds every moment product
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    a = rng.standard_normal((d, d))
+    lhs = sample_cumulant(x @ a.T, r)
+    rhs = multilinear_transform(a, sample_cumulant(x, r))
+    scale = (np.abs(x).max() * np.abs(a).sum(axis=1).max()) ** r
+    assert np.abs(lhs.values - rhs.values).max() <= 1e-10 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 8), st.integers(1, 60), st.integers(0, 2**32 - 1))
+def test_sample_moment_cumulant_round_trip(d, r, n, seed):
+    x = np.random.default_rng(seed).standard_normal((n, d))
+    moments = sample_moments(x, r)
+    back = cumulants_to_moments(moments_to_cumulants(moments))
+    for mu, mu_back in zip(moments, back):
+        assert np.abs(mu_back.values - mu.values).max() <= 1e-10 * max(mu.max_abs(), 1.0)
+
+
+def test_unique_entry_budget_refused_before_building():
+    x = np.zeros((1, 60))
+    count = math.comb(67, 8)
+    assert count > MAX_DENSE_ENTRIES
+    for call in (lambda: sample_moments(x, 8), lambda: canonical_indices(60, 8), lambda: SymmetricTensor(8, 60)):
+        with pytest.raises(ValueError, match=f"d = 60, r = 8 has C\\(d\\+r-1, r\\) = {count} "):
+            call()
 
 
 def test_sample_multilinearity_is_exact():

@@ -221,6 +221,14 @@ def test_coset_residual_signed_permutation_assignment():
     assert assignment == (1, 2, 0)
 
 
+@pytest.mark.parametrize("sizes", [(4,), (2, 2), (1, 1, 1, 1)])
+def test_coset_residual_rejects_non_finite(sizes):
+    w = random_orthogonal(4, 0)
+    w[1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        coset_residual(w, BlockStructure(sizes))
+
+
 def test_nearest_signed_permutation():
     q = random_signed_permutation(4, 5)
     p, dist = nearest_signed_permutation(q + 0.01)
