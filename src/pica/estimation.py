@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partitions import moments_to_cumulants
+from .partitions import _check_conversion_budget, moments_to_cumulants
 from .tensor import SymmetricTensor, _check_shape, _colex_ranks, num_entries
 
 __all__ = [
@@ -100,7 +100,13 @@ def sample_moment(x: np.ndarray, r: int) -> SymmetricTensor:
 
 
 def sample_cumulant(x: np.ndarray, r: int) -> SymmetricTensor:
-    """Order-r plug-in cumulant tensor via the partition-sum conversion."""
+    """Order-r plug-in cumulant tensor via the partition-sum conversion.
+
+    A conversion over its budget is refused before any moment is taken.
+    """
+    x = as_sample_matrix(x)
+    _check_shape(r, x.shape[1])
+    _check_conversion_budget(x.shape[1], r)
     return moments_to_cumulants(sample_moments(x, r))[-1]
 
 

@@ -18,9 +18,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor import MAX_ORDER, SymmetricTensor, _colex_ranks, canonical_indices
+from .tensor import MAX_ORDER, SymmetricTensor, _colex_ranks, canonical_indices, num_entries
 
-__all__ = ["SetPartition", "enumerate_partitions", "moments_to_cumulants", "cumulants_to_moments"]
+__all__ = [
+    "MAX_CONVERSION_ENTRIES",
+    "SetPartition",
+    "enumerate_partitions",
+    "moments_to_cumulants",
+    "cumulants_to_moments",
+]
+
+# The order-r conversion holds one array of C(d+r-1, r) entries per
+# non-empty position subset of an r-tuple; refuse more than this in all.
+MAX_CONVERSION_ENTRIES = 2**26
 
 # Blocks ordered by minimum element, elements ascending inside a block.
 SetPartition = tuple[tuple[int, ...], ...]
@@ -71,8 +81,19 @@ def _check_sequence(tensors: list[SymmetricTensor], what: str) -> tuple[int, int
     return r, dim
 
 
+def _check_conversion_budget(dim: int, order: int) -> None:
+    """Refuse C(d+r-1, r) * (2^r - 1) > MAX_CONVERSION_ENTRIES sub-tuple entries; nothing is built first."""
+    count = num_entries(dim, order) * (2**order - 1)
+    if count > MAX_CONVERSION_ENTRIES:
+        raise ValueError(
+            f"d = {dim}, r = {order} needs C(d+r-1, r) * (2^r - 1) = {count} sub-tuple entries "
+            f"to convert, over the budget {MAX_CONVERSION_ENTRIES}"
+        )
+
+
 def _convert(tensors: list[SymmetricTensor], weight) -> list[SymmetricTensor]:
     r, dim = _check_sequence(tensors, "tensor")
+    _check_conversion_budget(dim, r)
     out = []
     for k in range(1, r + 1):
         idxs = np.array(canonical_indices(dim, k), dtype=np.int64)

@@ -254,6 +254,8 @@ def test_empty_and_out_of_range_inputs_exit_two(workdir, capsys):
     write_csv(data, np.random.default_rng(0).standard_normal((50, 2)))
     wide = workdir / "wide.csv"
     write_csv(wide, np.random.default_rng(0).standard_normal((1, 60)))
+    sixteen = workdir / "sixteen.csv"
+    write_csv(sixteen, np.random.default_rng(0).standard_normal((20, 16)))
     out = str(workdir / "o.json")
     cases = [
         (["probe", "--graph", str(graph_path), "--trials", "0", "--seed", "0"], "trials >= 1, got 0"),
@@ -262,6 +264,8 @@ def test_empty_and_out_of_range_inputs_exit_two(workdir, capsys):
         (["cumulants", "--in", str(data), "--order", "0", "--out", out], "order must be in 1..8, got 0"),
         # C(67, 8) unique entries are refused before any tuple is built
         (["cumulants", "--in", str(wide), "--order", "8", "--out", out], "d = 60, r = 8 has C(d+r-1, r) = 6522361560"),
+        # C(23, 8) = 490314 unique entries fit, but 255 sub-tuple arrays of them do not
+        (["cumulants", "--in", str(sixteen), "--order", "8", "--out", out], "(2^r - 1) = 125030070 sub-tuple entries"),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning would be a second stderr line

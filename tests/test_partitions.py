@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pica.partitions import cumulants_to_moments, enumerate_partitions, moments_to_cumulants
+from pica.estimation import sample_cumulant
+from pica.partitions import MAX_CONVERSION_ENTRIES, cumulants_to_moments, enumerate_partitions, moments_to_cumulants
 from pica.tensor import SymmetricTensor, canonical_indices, num_entries, tensor_from_entries
 
 BELL = [1, 2, 5, 15, 52, 203]
@@ -195,3 +196,13 @@ def test_inconsistent_sequences_rejected():
         moments_to_cumulants(mixed)
     with pytest.raises(ValueError, match="empty"):
         moments_to_cumulants([])
+
+
+def test_conversion_over_its_budget_is_refused():
+    # d=16, r=8: 490314 unique entries, held once per non-empty position subset
+    tensors = [SymmetricTensor(k, 16) for k in range(1, 9)]
+    assert num_entries(16, 8) * 255 > MAX_CONVERSION_ENTRIES
+    with pytest.raises(ValueError, match=r"d = 16, r = 8 needs .* = 125030070 sub-tuple entries"):
+        moments_to_cumulants(tensors)
+    with pytest.raises(ValueError, match="sub-tuple entries"):
+        sample_cumulant(np.zeros((2, 16)), 8)
