@@ -33,6 +33,19 @@ def number(value) -> float:
         raise TypeError(f"number {value} overflows a float") from None
 
 
+def integer(value) -> int:
+    """``value`` as an int; TypeError unless it is a JSON number with no fractional part.
+
+    Decoders use this instead of ``int``, which would truncate 4.9 to 4 and
+    also accept strings such as ``"2"``.
+    """
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
 def _floats(value):
     return [_floats(v) for v in value] if isinstance(value, list) else number(value)
 

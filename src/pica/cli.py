@@ -82,8 +82,8 @@ def _build_parser() -> _Parser:
 
 
 def _graph_from_json(obj: dict) -> patterns.IndependenceGraph:
-    dim = int(obj.get("d", obj.get("dim", 0)))
-    return patterns.IndependenceGraph(dim, [tuple(e) for e in obj["edges"]])
+    dim = _json.integer(obj.get("d", obj.get("dim", 0)))
+    return patterns.IndependenceGraph(dim, [tuple(map(_json.integer, e)) for e in obj["edges"]])
 
 
 def _cmd_simulate(args) -> int:

@@ -461,7 +461,7 @@ def matrix_to_json(q: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    return _check_square(_json.array(obj["rows"]), int(obj["dim"]))
+    return _check_square(_json.array(obj["rows"]), _json.integer(obj["dim"]))
 
 
 def save_matrix(q: np.ndarray, path) -> None:

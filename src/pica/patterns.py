@@ -348,13 +348,13 @@ def pattern_to_json(pattern: ZeroPattern) -> dict:
 
 def pattern_from_json(obj: dict) -> ZeroPattern:
     kind = obj["kind"]
-    order = int(obj["order"])
-    dim = int(obj["dim"])
+    order = _json.integer(obj["order"])
+    dim = _json.integer(obj["dim"])
     if kind == "partition":
-        spec = PartitionSpec(dim, tuple(tuple(b) for b in obj["blocks"]))
+        spec = PartitionSpec(dim, tuple(tuple(map(_json.integer, b)) for b in obj["blocks"]))
         return pattern_from_partition(spec, order)
     if kind == "graph":
-        graph = IndependenceGraph(dim, [tuple(e) for e in obj["edges"]])
+        graph = IndependenceGraph(dim, [tuple(map(_json.integer, e)) for e in obj["edges"]])
         return pattern_from_graph(graph, order)
     if kind == "diagonal":
         return diagonal_pattern(dim, order)

@@ -8,9 +8,9 @@ plane the objective is a trigonometric polynomial of known degree, so
 each plane angle is minimized exactly over a full period from a few
 samples, and a rotation is only accepted when it lowers the objective,
 so sweeps are monotone.  Restarts guard against local minima.  Restart 0
-starts from the ICA solution, the descent on the diagonal pattern with its
-coordinates regrouped into the target's blocks; the rest start at Haar
-draws.
+starts from the ICA solution, the descent on the diagonal pattern, with
+its rows reordered into the target's blocks by their exact target energy;
+the rest start at Haar draws.
 
 Failure is a report, not an exception: some configurations are provably
 not identifiable, and the coset residual of the verification step is the
@@ -23,6 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -78,7 +79,7 @@ class RecoveryOptions:
     """
 
     order: int = 4
-    max_sweeps: int = 60
+    max_sweeps: ClassVar[int] = 60
     restarts: int = 8
     seed: int = 0
 
@@ -87,8 +88,6 @@ class RecoveryOptions:
             raise ValueError(f"cumulant order must be >= 3, got {self.order}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.max_sweeps < 1:
-            raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
 
 
 def off_pattern_energy(tensor: SymmetricTensor, pattern: ZeroPattern) -> float:
@@ -125,30 +124,19 @@ def _apply_plane(dense: np.ndarray, i: int, j: int, c: float, s: float) -> np.nd
     return out
 
 
-def _kron_powers(g: np.ndarray, r: int) -> tuple[np.ndarray, ...]:
-    """G^{(x)m} for m = 1..r of each 2x2 matrix in the stack g, shape (n, 2^m, 2^m) each."""
-    n = len(g)
+@lru_cache(maxsize=None)
+def _sample_powers(r: int) -> tuple[np.ndarray, ...]:
+    """Kronecker powers G^{(x)m}, m = 1..r, of the plane rotation at the 2r+1 sample angles pi k / (2r+1)."""
+    t = math.pi * np.arange(2 * r + 1) / (2 * r + 1)
+    c, s = np.cos(t), np.sin(t)
+    g = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], 1)
     powers = [g]
     for _ in range(1, r):
         size = 2 * powers[-1].shape[1]
-        powers.append(np.einsum("tab,tcd->tacbd", powers[-1], g).reshape(n, size, size))
+        powers.append(np.einsum("tab,tcd->tacbd", powers[-1], g).reshape(len(g), size, size))
     for p in powers:
         p.flags.writeable = False
     return tuple(powers)
-
-
-@lru_cache(maxsize=None)
-def _sample_powers(r: int) -> tuple[np.ndarray, ...]:
-    """Kronecker powers of the plane rotation at the 2r+1 sample angles pi k / (2r+1)."""
-    t = math.pi * np.arange(2 * r + 1) / (2 * r + 1)
-    c, s = np.cos(t), np.sin(t)
-    return _kron_powers(np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], 1), r)
-
-
-@lru_cache(maxsize=None)
-def _swap_powers(r: int) -> tuple[np.ndarray, ...]:
-    """Kronecker powers of the identity and of the exact quarter turn, a signed transposition."""
-    return _kron_powers(np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, -1.0], [1.0, 0.0]]]), r)
 
 
 def _plane_energies(dense: np.ndarray, mask: np.ndarray, i: int, j: int, powers) -> np.ndarray:
@@ -241,43 +229,37 @@ def _descend(
     return q, _dense_energy(dense, mask), sweeps
 
 
-def _ica_start(dense0: np.ndarray, mask: np.ndarray, opts: RecoveryOptions) -> tuple[np.ndarray, int]:
-    """The diagonal (ICA) descent from the identity, its rows regrouped for the target mask.
+def _regroup(dense: np.ndarray, mask: np.ndarray) -> list[int]:
+    """Row order of the rotation behind ``dense`` that groups its coordinates into the mask's blocks.
 
-    Returns the start and the diagonal descent's sweep count.  Where all
-    d! row orders cost at most MAX_DENSE_ENTRIES gathered entries, the
-    best is taken.  Beyond that, transpositions of rows are taken while
-    one lowers the target energy by more than _SWAP_RTOL of it; a
-    transposition of rows i and j is the quarter turn in plane (i, j), up
-    to a sign the energy does not see.  Transpositions alone can stall: a
-    2-block holding two coordinates of a 3-block needs two at once.
+    Each candidate order is scored exactly, on the whole reordered cube, so
+    rounding cannot cycle a near-member between orders; one is taken if it
+    lowers the energy by more than _SWAP_RTOL of it, until a full pass
+    takes none.  Where all d! orders cost at most MAX_DENSE_ENTRIES
+    gathered entries, they are the candidates; beyond that, the C(d, 2)
+    transpositions of the current order are.  Transpositions alone can
+    stall: a 2-block holding two coordinates of a 3-block needs two at once.
     """
-    d, r = dense0.shape[0], dense0.ndim
-    q, _, sweeps = _descend(dense0, diagonal_pattern(d, r).dense_zero_mask(), np.eye(d), opts)
-    dense = _transform_modewise(q, dense0)
+    d, r = dense.shape[0], dense.ndim
+
+    def transpositions():
+        # of the order current when each is scored, since taking one changes it
+        for i, j in itertools.combinations(range(d), 2):
+            candidate = list(order)
+            candidate[i], candidate[j] = order[j], order[i]
+            yield candidate
+
+    exhaustive = math.factorial(d) * dense.size <= MAX_DENSE_ENTRIES
+    order = list(range(d))
     energy = _dense_energy(dense, mask)
-    if math.factorial(d) * dense.size <= MAX_DENSE_ENTRIES:
-        best = tuple(range(d))
-        for order in itertools.permutations(range(d)):
-            value = _dense_energy(dense[np.ix_(*[order] * r)], mask)
+    taken = True
+    while taken:
+        taken = False
+        for candidate in itertools.permutations(range(d)) if exhaustive else transpositions():
+            value = _dense_energy(dense[np.ix_(*[candidate] * r)], mask)
             if energy - value > _SWAP_RTOL * energy:
-                best, energy = order, value
-        return q[list(best)], sweeps
-    swapped = True
-    while swapped:
-        swapped = False
-        for i in range(d - 1):
-            for j in range(i + 1, d):
-                before, after = _plane_energies(dense, mask, i, j, _swap_powers(r))
-                if before - after <= _SWAP_RTOL * energy:
-                    continue
-                # confirmed on the whole cube: block rounding must not cycle a near-member
-                trial = _apply_plane(dense, i, j, 0.0, 1.0)
-                value = _dense_energy(trial, mask)
-                if energy - value > _SWAP_RTOL * energy:
-                    dense, energy, swapped = trial, value, True
-                    q[[i, j]] = -q[j], q[i]
-    return q, sweeps
+                order, energy, taken = list(candidate), value, True
+    return order
 
 
 def _run_restarts(
@@ -286,15 +268,17 @@ def _run_restarts(
     """Seeded restarts of the descent, run one after another.
 
     Restart 0 starts from the ICA solution: the descent on the diagonal
-    pattern from the identity, with its rows reordered to group its
-    coordinates into the target's blocks (the separation principle of
-    independent subspace analysis, Cardoso 1998).  Its sweep count includes
-    the diagonal descent's.  Restart k >= 1 starts at a Haar draw from its
-    own substream of ``opts.seed``, a fallback where that principle fails.
+    pattern from the identity, with its rows reordered by ``_regroup`` to
+    group its coordinates into the target's blocks (the separation
+    principle of independent subspace analysis, Cardoso 1998); a reordering
+    needs no signs, as the energy does not see them.  Its sweep count
+    includes the diagonal descent's.  Restart k >= 1 starts at a Haar
+    draw from its own substream of ``opts.seed``, a fallback where that
+    principle fails.
     """
-    d = dense0.shape[0]
-    q_ica, ica_sweeps = _ica_start(dense0, mask, opts)
-    starts = [q_ica] + [
+    d, r = dense0.shape[0], dense0.ndim
+    q_ica, _, ica_sweeps = _descend(dense0, diagonal_pattern(d, r).dense_zero_mask(), np.eye(d), opts)
+    starts = [q_ica[_regroup(_transform_modewise(q_ica, dense0), mask)]] + [
         random_orthogonal(d, substream(opts.seed, "restart", restart))
         for restart in range(1, opts.restarts)
     ]
@@ -381,14 +365,6 @@ class IdentifiabilityReport:
     product: np.ndarray
     block_orthogonal_distance: list[float]
 
-    def to_json(self) -> dict:
-        return {
-            "residual": self.residual,
-            "assignment": list(self.assignment),
-            "product": [list(map(float, row)) for row in self.product],
-            "block_orthogonal_distance": self.block_orthogonal_distance,
-        }
-
 
 def verify_identifiability(w: np.ndarray, a_true: np.ndarray, structure: BlockStructure) -> IdentifiabilityReport:
     """Coset residual of W A_true against the block-orthogonal group.
@@ -400,7 +376,8 @@ def verify_identifiability(w: np.ndarray, a_true: np.ndarray, structure: BlockSt
     a_true = np.asarray(a_true, dtype=float)
     if w.shape != a_true.shape:
         raise ValueError(f"unmixing matrix shape {w.shape} != ground-truth mixing matrix shape {a_true.shape}")
-    if abs(np.linalg.det(a_true)) < 1e-12:
+    # the rank is scale-free; a non-finite matrix is left to coset_residual's own message
+    if np.isfinite(a_true).all() and np.linalg.matrix_rank(a_true) < len(a_true):
         raise ValueError("ground-truth mixing matrix is singular")
     product = w @ a_true
     residual, assignment = coset_residual(product, structure)
@@ -431,6 +408,7 @@ def comon_pipeline(
     opts = opts or RecoveryOptions()
     y = np.asarray(y, dtype=float)
     pattern = diagonal_pattern(y.shape[1], opts.order)
+    singles = None if a_true is None else BlockStructure((1,) * y.shape[1])
     report = estimate_unmixing(y, pattern, opts)
     if a_true is not None:
         product = report.unmixing @ np.asarray(a_true, dtype=float)
@@ -439,7 +417,6 @@ def comon_pipeline(
         report.extras["is_signed_permutation"] = bool(
             deviation <= _SIGNED_PERMUTATION_TOL and is_signed_permutation(product, tol=_SIGNED_PERMUTATION_TOL)
         )
-        singles = BlockStructure((1,) * y.shape[1])
         report.extras["coset_residual"] = coset_residual(product, singles)[0]
     return report
 
@@ -468,9 +445,9 @@ def report_from_json(obj: dict) -> RecoveryReport:
         mean=_json.array(obj["mean"]),
         objective=_json.number(obj["objective"]),
         objective_per_restart=[_json.number(v) for v in obj["objective_per_restart"]],
-        best_restart=int(obj["best_restart"]),
-        sweeps_per_restart=[int(v) for v in obj["sweeps_per_restart"]],
-        order=int(obj["order"]),
+        best_restart=_json.integer(obj["best_restart"]),
+        sweeps_per_restart=[_json.integer(v) for v in obj["sweeps_per_restart"]],
+        order=_json.integer(obj["order"]),
         pattern_kind=obj["pattern_kind"],
         extras=dict(obj.get("extras", {})),
     )

@@ -241,10 +241,10 @@ def source_spec_from_json(obj: dict) -> SourceSpec:
     edges = obj.get("edges")
     return SourceSpec(
         kind=obj["kind"],
-        dim=int(obj["d"]),
+        dim=_json.integer(obj["d"]),
         dist=obj.get("dist", "uniform"),
-        blocks=tuple(tuple(b) for b in blocks) if blocks is not None else None,
-        edges=tuple(tuple(e) for e in edges) if edges is not None else None,
+        blocks=tuple(tuple(map(_json.integer, b)) for b in blocks) if blocks is not None else None,
+        edges=tuple(tuple(map(_json.integer, e)) for e in edges) if edges is not None else None,
     )
 
 

@@ -299,8 +299,8 @@ def tensor_to_json(tensor: SymmetricTensor) -> dict:
 
 
 def tensor_from_json(obj: dict) -> SymmetricTensor:
-    entries = [(tuple(e["idx"]), _json.number(e["val"])) for e in obj.get("entries", [])]
-    return tensor_from_entries(int(obj["order"]), int(obj["dim"]), entries)
+    entries = [(tuple(map(_json.integer, e["idx"])), _json.number(e["val"])) for e in obj.get("entries", [])]
+    return tensor_from_entries(_json.integer(obj["order"]), _json.integer(obj["dim"]), entries)
 
 
 def save_tensor(tensor: SymmetricTensor, path) -> None:

@@ -214,6 +214,11 @@ def test_io_errors_exit_two(workdir, capsys):
     assert cli.run(["recover", "--in", str(data), "--pattern", str(pattern4_path), "--restarts", "1",
                     "--seed", "0", "--out", str(report_path)]) == 0
     verify = ["verify", "--report", str(report_path), "--truth", str(bad), "--blocks", "2,2"]
+    recover_bad_pattern = ["recover", "--in", str(data), "--pattern", str(bad), "--seed", "0", "--out", str(workdir / "r.json")]
+    simulate_bad_spec = ["simulate", "--spec", str(bad), "--n", "10", "--seed", "0", "--out", str(workdir / "x.csv")]
+    report = json.loads(report_path.read_text())
+    truth_path = workdir / "truth.json"
+    save_matrix(np.eye(4), truth_path)
     malformed = [
         ({"order": 2, "dim": 2, "entries": None},
          ["check", "--tensor", str(bad), "--pattern", str(pattern_path)]),
@@ -238,6 +243,23 @@ def test_io_errors_exit_two(workdir, capsys):
         ({"dim": 4, "rows": np.eye(4, dtype=bool).tolist()}, verify),
         ('{"order": 2, "dim": 2, "entries": [{"idx": [1, 2], "val": 1' + "0" * 400 + "}]}",
          ["check", "--tensor", str(bad), "--pattern", str(pattern_path)]),
+        # integers must be JSON integers: no truncated fractions, strings or booleans
+        ({"kind": "partition", "order": 4.9, "dim": 4, "blocks": [[1, 2], [3, 4]]}, recover_bad_pattern),
+        ({"kind": "partition", "order": 4, "dim": "4", "blocks": [[1, 2], [3, 4]]}, recover_bad_pattern),
+        ({"kind": "partition", "order": 4, "dim": 4, "blocks": [[1, 2.5], [3, 4]]}, recover_bad_pattern),
+        ({"kind": "graph", "order": 4, "dim": 4, "edges": [[1, "2"]]}, recover_bad_pattern),
+        ({"order": 2, "dim": 2, "entries": [{"idx": [1, 1.5], "val": 1.0}]},
+         ["check", "--tensor", str(bad), "--pattern", str(pattern_path)]),
+        ({"d": 3, "edges": [[True, 2]]}, ["probe", "--graph", str(bad), "--seed", "0"]),
+        ({"dim": 4.5, "rows": np.eye(4).tolist()}, verify),
+        ({"d": 3.5, "edges": [[1, 2]]}, ["probe", "--graph", str(bad), "--seed", "0"]),
+        ({"d": 3, "edges": [[1, 2.5]]}, ["probe", "--graph", str(bad), "--seed", "0"]),
+        ({"kind": "independent", "d": "2"}, simulate_bad_spec),
+        ({"kind": "partitioned", "d": 4, "blocks": [[1, 2], [3, 4.0001]]}, simulate_bad_spec),
+        ({"kind": "graph", "d": 3, "edges": [[1, 2.5]]}, simulate_bad_spec),
+        ({**report, "order": 4.5}, ["verify", "--report", str(bad), "--truth", str(truth_path), "--blocks", "2,2"]),
+        ({**report, "sweeps_per_restart": ["3"]},
+         ["verify", "--report", str(bad), "--truth", str(truth_path), "--blocks", "2,2"]),
     ]
     capsys.readouterr()
     for content, argv in malformed:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pica import recovery
 from pica.estimation import DegenerateDataError, sample_cumulant, whiten
 from pica.groups import (
     BlockLabel,
@@ -28,11 +29,13 @@ from pica.patterns import (
     reflectional_pattern,
 )
 from pica.recovery import (
+    _SWAP_RTOL,
     RecoveryOptions,
     _apply_plane,
     _dense_energy,
     _minimize_plane,
     _plane_energies,
+    _regroup,
     _sample_powers,
     comon_pipeline,
     estimate_unmixing,
@@ -153,6 +156,15 @@ def test_comon_pipeline_two_gaussians_flagged():
     assert report.extras["coset_residual"] > 0.1
 
 
+def test_comon_pipeline_refuses_too_many_sources_before_recovering(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("estimate_unmixing ran before the block structure was checked")
+
+    monkeypatch.setattr(recovery, "estimate_unmixing", fail)
+    with pytest.raises(ValueError, match="at most 8 blocks supported, got 9"):
+        comon_pipeline(np.zeros((20, 9)), a_true=np.eye(9))
+
+
 def test_pica_recovery_and_block_classification():
     spec = PartitionSpec(4, ((1, 2), (3, 4)))
     sources = gen_partitioned_sources(100_000, spec, "uniform", 17)
@@ -216,6 +228,15 @@ def test_verify_identifiability_exact_cases():
         verify_identifiability(np.eye(2), np.zeros((2, 2)), BlockStructure((1, 1)))
     with pytest.raises(ValueError, match=r"\(4, 4\) != .* \(3, 3\)"):
         verify_identifiability(np.eye(4), np.eye(3), structure)
+
+
+def test_verify_identifiability_is_scale_free():
+    # det(1e-4 Q) = 1e-16 at d = 4, but the matrix is perfectly conditioned
+    a = 1e-4 * random_orthogonal(4, 27)
+    ident = verify_identifiability(np.linalg.inv(a), a, BlockStructure((2, 2)))
+    assert ident.residual < 1e-14
+    with pytest.raises(ValueError, match="non-finite"):
+        verify_identifiability(np.eye(4), np.where(np.eye(4) > 0, 1.0, np.nan), BlockStructure((2, 2)))
 
 
 @st.composite
@@ -330,6 +351,39 @@ def test_restart_zero_alone_recovers_partitioned_sources(blocks, laws):
         a = random_orthogonal(spec.dim, 8000 + 10 * spec.dim + run)
         report = estimate_unmixing(mix(sources, a), pattern, RecoveryOptions(restarts=1, seed=run))
         assert verify_identifiability(report.unmixing, a, structure).residual < 0.1
+
+
+@pytest.mark.parametrize("blocks", [((1, 2, 3, 4), (5, 6, 7, 8)), ((1, 2), (3, 4), (5, 6), (7, 8))])
+def test_regroup_transpositions_group_scrambled_members(blocks):
+    # d!·d^r > MAX_DENSE_ENTRIES at d = 8, r = 4, so the candidates are transpositions
+    pattern = pattern_from_partition(PartitionSpec(8, blocks), 4)
+    mask = pattern.dense_zero_mask()
+    for seed in range(5):
+        perm = np.random.default_rng(seed).permutation(8)
+        dense = generic_sample(pattern, rng=seed).to_dense()[np.ix_(*[perm] * 4)]
+        order = _regroup(dense, mask)
+        assert sorted(order) == list(range(8))
+        assert _dense_energy(dense[np.ix_(*[order] * 4)], mask) <= 1e-24 * np.sum(dense**2)
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_regroup_keeps_the_identity_for_a_diagonal_mask(d):
+    pattern = diagonal_pattern(d, 4)
+    dense = multilinear_transform(random_orthogonal(d, d), generic_sample(pattern, rng=d)).to_dense()
+    assert _regroup(dense, pattern.dense_zero_mask()) == list(range(d))
+
+
+@pytest.mark.parametrize("blocks", [((1, 2), (3,)), ((1, 2), (3, 4, 5)), ((1,), (2, 3), (4, 5, 6)), ((1, 2, 3), (4, 5, 6))])
+def test_regroup_finds_the_best_order_at_small_d(blocks):
+    pattern = pattern_from_partition(PartitionSpec(sum(map(len, blocks)), blocks), 4)
+    d, mask = pattern.dim, pattern.dense_zero_mask()
+    for seed in range(2):
+        # a rotated member: no order reaches zero, so the minimum is a real comparison
+        dense = multilinear_transform(random_orthogonal(d, seed), generic_sample(pattern, rng=seed)).to_dense()
+        best = min(_dense_energy(dense[np.ix_(*[p] * 4)], mask) for p in itertools.permutations(range(d)))
+        order = _regroup(dense, mask)
+        energy = _dense_energy(dense[np.ix_(*[order] * 4)], mask)
+        assert energy - best <= _SWAP_RTOL * energy
 
 
 def test_reflectional_stabilizer_is_signed_permutation_group():
