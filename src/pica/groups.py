@@ -21,8 +21,8 @@ import numpy as np
 
 from . import _json
 from ._rng import as_generator
-from .patterns import IndependenceGraph, generic_sample, is_member, pattern_from_graph
-from .tensor import multilinear_transform
+from .patterns import IndependenceGraph, generic_sample, pattern_from_graph
+from .tensor import _colex_ranks, canonical_indices
 
 __all__ = [
     "BlockStructure",
@@ -49,7 +49,8 @@ __all__ = [
     "load_matrix",
 ]
 
-# Exhaustive block-assignment search is m!-ish; keep m small by contract.
+# coset_residual's assignment is a subset DP costing O(k 2^k) per class of k
+# equal-size blocks; keep m small by contract.
 MAX_BLOCKS = 8
 
 DEFAULT_TOL_ZERO = 1e-10
@@ -286,6 +287,28 @@ def is_block_signed_permutation(q: np.ndarray, structure: BlockStructure, tol: f
     return True
 
 
+def _best_assignment(gain: list[list[float]]) -> list[int]:
+    """Assignment of rows to columns maximizing the summed gain, by a DP over subsets.
+
+    best[used] is the largest gain of rows |used|.. over the columns outside
+    ``used``, O(k 2^k) for k rows.  Reading the choices forward from the
+    empty set and taking the first column that attains best[used] gives the
+    lexicographically first optimum, so a zero gain keeps the identity.
+    """
+    k = len(gain)
+    full = (1 << k) - 1
+    best = [0.0] * (full + 1)
+    for used in range(full - 1, -1, -1):
+        row = gain[used.bit_count()]
+        best[used] = max(row[j] + best[used | 1 << j] for j in range(k) if not used >> j & 1)
+    assign, used = [], 0
+    for row in gain:
+        pick = next(j for j in range(k) if not used >> j & 1 and row[j] + best[used | 1 << j] == best[used])
+        assign.append(pick)
+        used |= 1 << pick
+    return assign
+
+
 def coset_residual(w: np.ndarray, structure: BlockStructure) -> tuple[float, tuple[int, ...]]:
     """Distance of a matrix from the block-orthogonal group.
 
@@ -304,12 +327,12 @@ def coset_residual(w: np.ndarray, structure: BlockStructure) -> tuple[float, tup
         raise ValueError("matrix contains non-finite values")
     m = structure.count
     mass = _block_map(w, structure, lambda blk: np.sum(blk**2))
-
-    def captured(sigma):
-        return sum(mass[i, sigma[i]] for i in range(m))
-
-    best_assign = max(compatible_block_permutations(structure), key=captured)
-    best_mass = captured(best_assign)
+    sigma = [0] * m
+    for members in _size_classes(structure):
+        for src, dst in zip(members, _best_assignment(mass[np.ix_(members, members)].tolist())):
+            sigma[src] = members[dst]
+    best_assign = tuple(sigma)
+    best_mass = sum(mass[i, best_assign[i]] for i in range(m))
     off_mass = float(mass.sum() - best_mass)
     defect_sq = 0.0
     for i in range(m):
@@ -415,6 +438,15 @@ def conjecture_probe(
     else:
         matrices = [random_signed_permutation(d, g) for _ in range(_PROBE_SAMPLES)]
 
+    # A signed permutation q (q[i, pi(i)] = s_i) maps entry i of a tensor to
+    # s_{i_1}..s_{i_r} T[sort(pi(i))]: the dense contraction adds only exact
+    # zeros to that one product, and membership sees only its magnitude, so
+    # gathering the zero set gives is_member's max violation bit for bit.
+    zero_idx = np.array(canonical_indices(d, order), dtype=np.int64)[pattern.zero_mask] - 1
+    perms = np.abs(np.array(matrices)).argmax(axis=2)
+    ranks = _colex_ranks(np.sort(perms[:, zero_idx], axis=-1) + 1)
+    violations = [np.abs(t.values[ranks]).max(axis=-1, initial=0.0).tolist() for t in tensors]
+
     agreements = 0
     disagreements: list[dict] = []
     per_matrix: list[dict] = []
@@ -423,10 +455,11 @@ def conjecture_probe(
         auto = graph_automorphism_check(np.abs(q), graph, tol=0.0)
         automorphism_count += auto
         verdicts = []
-        for ti, t in enumerate(tensors):
-            res = is_member(multilinear_transform(q, t), pattern, _PROBE_MEMBERSHIP_TOL)
-            verdicts.append(bool(res.member))
-            if res.member == auto:
+        for ti in range(trials):
+            max_violation = violations[ti][qi]
+            member = max_violation <= _PROBE_MEMBERSHIP_TOL
+            verdicts.append(member)
+            if member == auto:
                 agreements += 1
             else:
                 disagreements.append(
@@ -435,8 +468,8 @@ def conjecture_probe(
                         "matrix": q.tolist(),
                         "trial": ti,
                         "is_automorphism": auto,
-                        "preserves_pattern": res.member,
-                        "max_violation": res.max_violation,
+                        "preserves_pattern": member,
+                        "max_violation": max_violation,
                     }
                 )
         per_matrix.append(

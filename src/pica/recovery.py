@@ -234,11 +234,12 @@ def _regroup(dense: np.ndarray, mask: np.ndarray) -> list[int]:
 
     Each candidate order is scored exactly, on the whole reordered cube, so
     rounding cannot cycle a near-member between orders; one is taken if it
-    lowers the energy by more than _SWAP_RTOL of it, until a full pass
-    takes none.  Where all d! orders cost at most MAX_DENSE_ENTRIES
-    gathered entries, they are the candidates; beyond that, the C(d, 2)
-    transpositions of the current order are.  Transpositions alone can
-    stall: a 2-block holding two coordinates of a 3-block needs two at once.
+    lowers the energy by more than _SWAP_RTOL of it.  Where all d! orders
+    cost at most MAX_DENSE_ENTRIES gathered entries, they are the
+    candidates, scored in one pass; beyond that, the C(d, 2) transpositions
+    of the current order are, until a full pass takes none.  Transpositions
+    alone can stall: a 2-block holding two coordinates of a 3-block needs
+    two at once.
     """
     d, r = dense.shape[0], dense.ndim
 
@@ -258,7 +259,8 @@ def _regroup(dense: np.ndarray, mask: np.ndarray) -> list[int]:
         for candidate in itertools.permutations(range(d)) if exhaustive else transpositions():
             value = _dense_energy(dense[np.ix_(*[candidate] * r)], mask)
             if energy - value > _SWAP_RTOL * energy:
-                order, energy, taken = list(candidate), value, True
+                # the d! orders are absolute and their scores fixed, so one pass takes all it can
+                order, energy, taken = list(candidate), value, not exhaustive
     return order
 
 

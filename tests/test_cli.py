@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
 import pytest
 
+import pica
 from pica import cli, recovery
 from pica.estimation import read_csv, sample_cumulant, write_csv
 from pica.groups import random_orthogonal, save_matrix
@@ -179,6 +184,45 @@ def test_probe_star_graph(workdir, capsys):
     payload = json.loads(out_path.read_text())
     assert payload["conjecture_holds"]
     assert payload["matrices_checked"] == 2**3 * 6
+
+
+_NO_SCIPY_SCRIPT = textwrap.dedent(
+    """
+    import json, os, sys
+    from pica import cli
+    from pica.groups import random_orthogonal, save_matrix
+    from pica.patterns import diagonal_pattern, save_pattern
+    from pica.simulate import SourceSpec, save_source_spec
+
+    work = sys.argv[1]
+    path = lambda name: os.path.join(work, name)
+    save_source_spec(SourceSpec("independent", 3, "uniform"), path("spec.json"))
+    save_pattern(diagonal_pattern(3, 4), path("pattern.json"))
+    save_matrix(random_orthogonal(3, 0), path("truth.json"))
+    with open(path("graph.json"), "w") as fh:
+        json.dump({"d": 4, "edges": [[1, 2], [1, 3], [1, 4]]}, fh)
+    codes = [
+        cli.run(["simulate", "--spec", path("spec.json"), "--n", "2000", "--seed", "1", "--out", path("x.csv")]),
+        cli.run(["recover", "--in", path("x.csv"), "--pattern", path("pattern.json"), "--order", "4",
+                 "--restarts", "1", "--seed", "2", "--out", path("report.json")]),
+        cli.run(["verify", "--report", path("report.json"), "--truth", path("truth.json"), "--blocks", "1,1,1"]),
+        cli.run(["probe", "--graph", path("graph.json"), "--order", "3", "--trials", "2", "--seed", "3",
+                 "--out", path("probe.json")]),
+    ]
+    print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+    """
+)
+
+
+def test_simulate_verify_and_probe_import_no_scipy(workdir):
+    # importing scipy.optimize costs more time and memory than verify and probe themselves
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pica.__file__)))
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(workdir)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    # verify exits 3: the truth is not the mixing behind x.csv
+    assert result["codes"] == [0, 0, 3, 0]
+    assert result["scipy"] == []
 
 
 def test_help_exits_zero(capsys):

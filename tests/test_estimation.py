@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pica.estimation import (
+    _CSV_BLOCK_ROWS,
     DegenerateDataError,
     center,
     read_csv,
@@ -245,6 +246,33 @@ def test_csv_round_trip(tmp_path):
     # headerless single-column data still parses as a matrix
     write_csv(path, x[:, :1])
     assert read_csv(path).shape == (20, 1)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 1), (_CSV_BLOCK_ROWS - 1, 3), (_CSV_BLOCK_ROWS, 8), (_CSV_BLOCK_ROWS + 1, 8), (3 * _CSV_BLOCK_ROWS, 2)],
+)
+def test_write_csv_matches_savetxt_bytes(tmp_path, shape):
+    x = np.random.default_rng(shape[0]).standard_normal(shape) * 10.0 ** np.arange(shape[1])
+    write_csv(tmp_path / "block.csv", x)
+    np.savetxt(tmp_path / "numpy.csv", x, fmt="%.17g", delimiter=",")
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "numpy.csv").read_bytes()
+
+
+def test_write_csv_extreme_values_match_savetxt_and_round_trip(tmp_path):
+    x = np.array([[-0.0, 5e-324, -1.5e-300, 1.7e308], [1.0, -2.5, 1e-5, 123456789.0]])
+    write_csv(tmp_path / "block.csv", x)
+    np.savetxt(tmp_path / "numpy.csv", x, fmt="%.17g", delimiter=",")
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "numpy.csv").read_bytes()
+    back = read_csv(tmp_path / "block.csv")
+    assert back.tobytes() == x.tobytes()  # bitwise, so the sign of -0.0 survives
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
+def test_write_csv_compresses_what_read_csv_decompresses(tmp_path, suffix):
+    x = np.random.default_rng(3).standard_normal((50, 3))
+    write_csv(tmp_path / f"data.csv{suffix}", x)
+    assert read_csv(tmp_path / f"data.csv{suffix}").tobytes() == x.tobytes()
 
 
 def test_non_finite_rejected():

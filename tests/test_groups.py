@@ -1,9 +1,16 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pica import groups
+from pica._rng import as_generator
 from pica.groups import (
+    _PROBE_MEMBERSHIP_TOL,
+    _PROBE_SAMPLES,
     BlockLabel,
     BlockStructure,
     classify_blocks,
@@ -30,6 +37,7 @@ from pica.patterns import (
     PartitionSpec,
     generic_sample,
     is_member,
+    pattern_from_graph,
     pattern_from_partition,
 )
 from pica.tensor import multilinear_transform
@@ -221,6 +229,74 @@ def test_coset_residual_signed_permutation_assignment():
     assert assignment == (1, 2, 0)
 
 
+def _captured(mass, sigma):
+    return sum(mass[i, sigma[i]] for i in range(len(sigma)))
+
+
+def bruteforce_coset_residual(w, structure):
+    """coset_residual by scoring every size-compatible block assignment.
+
+    Returns (residual, assignment, the best score's margin over every other
+    assignment, block mass matrix).
+    """
+    m = structure.count
+    mass = np.array([[np.sum(structure.block(w, i, j) ** 2) for j in range(m)] for i in range(m)])
+    perms = np.array(list(compatible_block_permutations(structure)))
+    scores = mass[np.arange(m), perms].sum(axis=1)
+    top = int(np.argmax(scores))
+    best = tuple(int(j) for j in perms[top])
+    defect_sq = 0.0
+    for i in range(m):
+        blk = structure.block(w, i, best[i])
+        defect_sq += float(np.sum((blk.T @ blk - np.eye(blk.shape[1])) ** 2))
+    residual = math.sqrt(max(float(mass.sum() - _captured(mass, best)), 0.0) + defect_sq) / math.sqrt(structure.dim)
+    margin = scores[top] - np.delete(scores, top).max(initial=-np.inf)
+    return residual, best, margin, mass
+
+
+COSET_STRUCTURES = [(1,) * 8, (2, 2), (2, 3), (1, 2, 1, 2, 2), (3, 3, 2)]
+
+
+@st.composite
+def coset_problems(draw):
+    structure = BlockStructure(draw(st.sampled_from(COSET_STRUCTURES)))
+    d = structure.dim
+    kind = draw(st.sampled_from(["entries", "haar", "near"]))
+    if kind == "entries":
+        # small integers and repeated values give exact ties
+        entries = st.one_of(st.integers(-2, 2).map(float), st.floats(-4, 4, allow_nan=False))
+        w = np.array(draw(st.lists(entries, min_size=d * d, max_size=d * d))).reshape(d, d)
+        return w, structure
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "haar":
+        return random_orthogonal(d, g), structure
+    noise = draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.3]))
+    return random_block_orthogonal(structure, g) + noise * g.standard_normal((d, d)), structure
+
+
+@settings(max_examples=60, deadline=None)
+@given(coset_problems())
+def test_coset_residual_matches_the_bruteforce_assignment(problem):
+    w, structure = problem
+    residual, assignment = coset_residual(w, structure)
+    ref_residual, ref_assignment, margin, mass = bruteforce_coset_residual(w, structure)
+    if margin > 1e-12 * max(1.0, mass.sum()):
+        assert assignment == ref_assignment
+        assert residual == ref_residual
+    else:
+        # a tie within rounding: either assignment is an optimum
+        assert sorted(assignment) == list(range(structure.count))
+        assert _captured(mass, assignment) >= _captured(mass, ref_assignment) - 1e-12 * max(1.0, mass.sum())
+
+
+@pytest.mark.parametrize("sizes", COSET_STRUCTURES)
+def test_coset_residual_keeps_the_identity_assignment_on_ties(sizes):
+    structure = BlockStructure(sizes)
+    identity = tuple(range(structure.count))
+    assert coset_residual(np.zeros((structure.dim,) * 2), structure) == (1.0, identity)
+    assert coset_residual(np.eye(structure.dim), structure) == (0.0, identity)
+
+
 @pytest.mark.parametrize("sizes", [(4,), (2, 2), (1, 1, 1, 1)])
 def test_coset_residual_rejects_non_finite(sizes):
     w = random_orthogonal(4, 0)
@@ -298,6 +374,56 @@ def test_conjecture_probe_complete_graph_degenerate():
     # and every permutation is an automorphism
     assert report.automorphism_count == report.matrices_checked
     assert report.conjecture_holds
+
+
+def reference_probe(graph, order, trials, rng, tol):
+    """conjecture_probe's report from one dense transform and membership test per (matrix, trial)."""
+    g = as_generator(rng)
+    pattern = pattern_from_graph(graph, order)
+    tensors = [generic_sample(pattern, rng=g) for _ in range(trials)]
+    if graph.dim <= 4:
+        matrices = list(signed_permutations(graph.dim))
+    else:
+        matrices = [random_signed_permutation(graph.dim, g) for _ in range(_PROBE_SAMPLES)]
+    agreements, automorphisms, disagreements, per_matrix = 0, 0, [], []
+    for qi, q in enumerate(matrices):
+        auto = graph_automorphism_check(np.abs(q), graph, tol=0.0)
+        automorphisms += auto
+        verdicts = []
+        for ti, t in enumerate(tensors):
+            res = is_member(multilinear_transform(q, t), pattern, tol)
+            verdicts.append(bool(res.member))
+            if res.member == auto:
+                agreements += 1
+            else:
+                disagreements.append({"matrix_index": qi, "matrix": q.tolist(), "trial": ti, "is_automorphism": auto,
+                                      "preserves_pattern": res.member, "max_violation": res.max_violation})
+        per_matrix.append({"matrix_index": qi, "is_automorphism": bool(auto), "preserves_pattern": verdicts})
+    return {"dim": graph.dim, "order": order, "trials": trials, "exhaustive": graph.dim <= 4,
+            "matrices_checked": len(matrices), "automorphism_count": automorphisms, "agreements": agreements,
+            "disagreements": disagreements, "per_matrix": per_matrix, "conjecture_holds": not disagreements}
+
+
+PROBE_GRAPHS = {
+    "star": lambda d: [(1, v) for v in range(2, d + 1)],
+    "chain": lambda d: [(v, v + 1) for v in range(1, d)],
+    "empty": lambda d: [],
+    "complete": lambda d: list(itertools.combinations(range(1, d + 1), 2)),
+}
+
+
+# at tolerance 1.0 some non-automorphisms pass as members, so the report
+# records their disagreements and max violations
+@pytest.mark.parametrize("tol", [_PROBE_MEMBERSHIP_TOL, 1.0])
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+@pytest.mark.parametrize("kind", sorted(PROBE_GRAPHS))
+def test_conjecture_probe_matches_dense_transforms(kind, d, order, tol, monkeypatch):
+    # the complete graph has an empty zero set
+    graph = IndependenceGraph(d, PROBE_GRAPHS[kind](d))
+    monkeypatch.setattr(groups, "_PROBE_MEMBERSHIP_TOL", tol)
+    report = conjecture_probe(graph, order, trials=3, rng=d * order)
+    assert report.to_json() == reference_probe(graph, order, 3, d * order, tol)
 
 
 def test_conjecture_probe_bounds():

@@ -386,6 +386,40 @@ def test_regroup_finds_the_best_order_at_small_d(blocks):
         assert energy - best <= _SWAP_RTOL * energy
 
 
+def _regroup_until_stable(dense, mask):
+    """_regroup's d! regime repeated until a pass over all orders takes none."""
+    d, r = dense.shape[0], dense.ndim
+    order, energy, taken = list(range(d)), _dense_energy(dense, mask), True
+    while taken:
+        taken = False
+        for candidate in itertools.permutations(range(d)):
+            value = _dense_energy(dense[np.ix_(*[candidate] * r)], mask)
+            if energy - value > _SWAP_RTOL * energy:
+                order, energy, taken = list(candidate), value, True
+    return order
+
+
+def test_regroup_scores_each_of_the_d_factorial_orders_once(monkeypatch):
+    pattern = pattern_from_partition(PartitionSpec(5, ((1, 2), (3, 4, 5))), 4)
+    mask = pattern.dense_zero_mask()
+    calls = []
+
+    def counting_energy(dense, mask):
+        calls.append(1)
+        return _dense_energy(dense, mask)
+
+    for seed in range(3):
+        perm = np.random.default_rng(seed).permutation(5)
+        dense = generic_sample(pattern, rng=seed).to_dense()[np.ix_(*[perm] * 4)]
+        expected = _regroup_until_stable(dense, mask)
+        assert expected != list(range(5))  # some order was taken, so a second pass would rescan
+        monkeypatch.setattr(recovery, "_dense_energy", counting_energy)
+        calls.clear()
+        assert _regroup(dense, mask) == expected
+        assert len(calls) == 1 + math.factorial(5)
+        monkeypatch.undo()
+
+
 def test_reflectional_stabilizer_is_signed_permutation_group():
     # population-level probe: minimizing reflectional off-pattern energy of
     # Q . T can only converge onto signed permutations
