@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import _json, estimation, groups, patterns, recovery, simulate, tensor
@@ -37,6 +38,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageExit(message)
 
 
+def _tolerance(text: str) -> float:
+    """A finite number >= 0: a NaN or negative bound would turn every verdict negative."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pica", description="Cumulant-pattern component analysis toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -55,7 +64,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("check", help="pattern membership verdict for a tensor")
     p.add_argument("--tensor", required=True, help="tensor JSON path")
     p.add_argument("--pattern", required=True, help="pattern JSON path")
-    p.add_argument("--tol", type=float, default=patterns.POPULATION_TOL)
+    p.add_argument("--tol", type=_tolerance, default=patterns.POPULATION_TOL)
 
     p = sub.add_parser("recover", help="estimate the unmixing matrix")
     p.add_argument("--in", dest="infile", required=True, help="input CSV path")
@@ -69,7 +78,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--report", required=True, help="recovery report JSON path")
     p.add_argument("--truth", required=True, help="true mixing matrix JSON path")
     p.add_argument("--blocks", required=True, help="block sizes, e.g. 2,2")
-    p.add_argument("--threshold", type=float, default=0.1)
+    p.add_argument("--threshold", type=_tolerance, default=0.1)
 
     p = sub.add_parser("probe", help="graph-automorphism conjecture probe")
     p.add_argument("--graph", required=True, help="graph JSON path: {d, edges}")

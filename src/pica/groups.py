@@ -49,8 +49,8 @@ __all__ = [
     "load_matrix",
 ]
 
-# coset_residual's assignment is a subset DP costing O(k 2^k) per class of k
-# equal-size blocks; keep m small by contract.
+# coset_residual's and nearest_signed_permutation's assignment is a subset DP
+# costing O(k 2^k) for k blocks or rows; keep k small by contract.
 MAX_BLOCKS = 8
 
 DEFAULT_TOL_ZERO = 1e-10
@@ -343,18 +343,20 @@ def coset_residual(w: np.ndarray, structure: BlockStructure) -> tuple[float, tup
 
 
 def nearest_signed_permutation(q: np.ndarray) -> tuple[np.ndarray, float]:
-    """Nearest signed permutation by assignment on |entries|.
+    """Nearest signed permutation by assignment on |entries|, for d <= MAX_BLOCKS.
 
-    Returns (signed permutation, max-abs deviation of q from it).
+    The assignment is ``coset_residual``'s subset DP, so exact ties keep the
+    first column.  Returns (signed permutation, max-abs deviation of q from it).
     """
-    from scipy.optimize import linear_sum_assignment
-
     q = _check_square(q)
     d = q.shape[0]
-    rows, cols = linear_sum_assignment(-np.abs(q))
+    if d > MAX_BLOCKS:
+        raise ValueError(f"nearest signed permutation supports d <= {MAX_BLOCKS}, got {d}")
+    if not np.isfinite(q).all():
+        raise ValueError("matrix contains non-finite values")
+    rows, cols = np.arange(d), _best_assignment(np.abs(q).tolist())
     p = np.zeros((d, d))
-    for i, j in zip(rows, cols):
-        p[i, j] = 1.0 if q[i, j] >= 0 else -1.0
+    p[rows, cols] = np.where(q[rows, cols] >= 0, 1.0, -1.0)
     return p, float(np.abs(q - p).max())
 
 
@@ -378,13 +380,18 @@ def _check_permutation_matrix(p: np.ndarray) -> np.ndarray:
     return rounded
 
 
+def _automorphisms(perms: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Which rows pi of ``perms`` (pi[i] the image of i) keep a[pi(i), pi(j)] = a[i, j]."""
+    return (a[perms[:, :, None], perms[:, None, :]] == a).all(axis=(1, 2))
+
+
 def graph_automorphism_check(p: np.ndarray, graph: IndependenceGraph, tol: float = 0.0) -> bool:
     """True iff the permutation preserves the adjacency matrix: P^T A P = A."""
-    p = _check_permutation_matrix(p)
+    perm = _check_permutation_matrix(p).argmax(axis=1)
     a = graph.adjacency()
-    if p.shape[0] != graph.dim:
-        raise ValueError(f"permutation dim {p.shape[0]} != graph dim {graph.dim}")
-    return bool(np.abs(p.T @ a @ p - a).max() <= tol)
+    if perm.size != graph.dim:
+        raise ValueError(f"permutation dim {perm.size} != graph dim {graph.dim}")
+    return bool(np.abs(a[perm[:, None], perm] - a).max() <= tol)
 
 
 @dataclass
@@ -445,44 +452,34 @@ def conjecture_probe(
     zero_idx = np.array(canonical_indices(d, order), dtype=np.int64)[pattern.zero_mask] - 1
     perms = np.abs(np.array(matrices)).argmax(axis=2)
     ranks = _colex_ranks(np.sort(perms[:, zero_idx], axis=-1) + 1)
-    violations = [np.abs(t.values[ranks]).max(axis=-1, initial=0.0).tolist() for t in tensors]
-
-    agreements = 0
-    disagreements: list[dict] = []
-    per_matrix: list[dict] = []
-    automorphism_count = 0
-    for qi, q in enumerate(matrices):
-        auto = graph_automorphism_check(np.abs(q), graph, tol=0.0)
-        automorphism_count += auto
-        verdicts = []
-        for ti in range(trials):
-            max_violation = violations[ti][qi]
-            member = max_violation <= _PROBE_MEMBERSHIP_TOL
-            verdicts.append(member)
-            if member == auto:
-                agreements += 1
-            else:
-                disagreements.append(
-                    {
-                        "matrix_index": qi,
-                        "matrix": q.tolist(),
-                        "trial": ti,
-                        "is_automorphism": auto,
-                        "preserves_pattern": member,
-                        "max_violation": max_violation,
-                    }
-                )
-        per_matrix.append(
-            {"matrix_index": qi, "is_automorphism": bool(auto), "preserves_pattern": verdicts}
-        )
+    violations = np.array([np.abs(t.values[ranks]).max(axis=-1, initial=0.0) for t in tensors])
+    members = violations <= _PROBE_MEMBERSHIP_TOL
+    auto = _automorphisms(perms, graph.adjacency())
+    # plain Python values, so that the report's JSON is that of ints, bools and floats
+    autos = auto.tolist()
+    disagreements = [
+        {
+            "matrix_index": qi,
+            "matrix": matrices[qi].tolist(),
+            "trial": ti,
+            "is_automorphism": autos[qi],
+            "preserves_pattern": not autos[qi],
+            "max_violation": float(violations[ti, qi]),
+        }
+        for qi, ti in zip(*(k.tolist() for k in np.nonzero(members.T != auto[:, None])))
+    ]
+    per_matrix = [
+        {"matrix_index": qi, "is_automorphism": a, "preserves_pattern": verdicts}
+        for qi, (a, verdicts) in enumerate(zip(autos, members.T.tolist()))
+    ]
     return ProbeReport(
         dim=d,
         order=order,
         trials=trials,
         exhaustive=exhaustive,
         matrices_checked=len(matrices),
-        automorphism_count=automorphism_count,
-        agreements=agreements,
+        automorphism_count=int(auto.sum()),
+        agreements=int((members == auto).sum()),
         disagreements=disagreements,
         per_matrix=per_matrix,
     )

@@ -4,8 +4,9 @@ A ZeroPattern marks the canonical entries of an order-r tensor that some
 independence hypothesis forces to vanish.  Membership of a tensor in the
 corresponding variety is then a max-violation check over the marked
 entries.  Patterns materialize their zero set once, at construction, as a
-boolean mask over the canonical index list; ``dense_zero_mask`` spreads it
-over the d^r cube that recovery works on.
+boolean mask over the canonical index list, each from one relation on the
+coordinates gathered over every pair of index positions; ``dense_zero_mask``
+spreads it over the d^r cube that recovery works on.
 
 Kinds:
   partition          two indices in distinct blocks
@@ -18,9 +19,8 @@ Kinds:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Collection, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -177,10 +177,15 @@ class ZeroPattern:
         )
 
 
-def _build(kind: str, order: int, dim: int, predicate, meta: dict | None = None) -> ZeroPattern:
-    idxs = canonical_indices(dim, order)
-    mask = np.fromiter((predicate(idx) for idx in idxs), dtype=bool, count=len(idxs))
-    return ZeroPattern(kind, order, dim, mask, meta)
+def _pairs(dim: int, order: int, relation: np.ndarray) -> np.ndarray:
+    """``relation[i_a, i_b]`` for every position pair (a, b) of every canonical index, N x r x r."""
+    idx = np.array(canonical_indices(dim, order)) - 1
+    return relation[idx[:, :, None], idx[:, None, :]]
+
+
+def _multiplicities(dim: int, order: int) -> np.ndarray:
+    """N x r: how many positions of each canonical index hold the value at position a."""
+    return _pairs(dim, order, np.eye(dim, dtype=bool)).sum(axis=2)
 
 
 def _check_order(order: int) -> None:
@@ -191,59 +196,31 @@ def _check_order(order: int) -> None:
 def pattern_from_partition(spec: PartitionSpec, order: int) -> ZeroPattern:
     """Zero iff the index tuple meets two distinct blocks."""
     _check_order(order)
-    block_of = spec.block_of()
-
-    def zero(idx: MultiIndex) -> bool:
-        first = block_of[idx[0]]
-        return any(block_of[i] != first for i in idx[1:])
-
-    return _build("partition", order, spec.dim, zero, {"blocks": [list(b) for b in spec.blocks]})
-
-
-def _components(vertices: Collection[int], edges: frozenset) -> list[tuple[int, ...]]:
-    """Connected components of the induced subgraph, by union-find.
-
-    Each component lists its vertices in the order of ``vertices``, and
-    components come in the order of their first vertex.
-    """
-    parent = {v: v for v in vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for u, v in edges:
-        if u in parent and v in parent:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-    components: dict[int, list[int]] = {}
-    for v in vertices:
-        components.setdefault(find(v), []).append(v)
-    return [tuple(c) for c in components.values()]
+    block = spec.block_of()[1:]
+    zero = ~_pairs(spec.dim, order, block[:, None] == block).all(axis=(1, 2))
+    return ZeroPattern("partition", order, spec.dim, zero, {"blocks": [list(b) for b in spec.blocks]})
 
 
 def pattern_from_graph(graph: IndependenceGraph, order: int) -> ZeroPattern:
     """Zero iff the induced subgraph on the distinct indices is disconnected.
 
     A single distinct vertex counts as connected, so constant index
-    tuples are always free.
+    tuples are always free.  Positions linked by equal or adjacent values
+    reach each other in at most r - 1 steps.
     """
     _check_order(order)
-    edges = graph.edges
-
-    def zero(idx: MultiIndex) -> bool:
-        return len(_components(set(idx), edges)) > 1
-
-    return _build("graph", order, graph.dim, zero, {"edges": [list(e) for e in graph.sorted_edges()]})
+    link = _pairs(graph.dim, order, (graph.adjacency() > 0) | np.eye(graph.dim, dtype=bool))
+    reach = link[:, 0]
+    for _ in range(order - 2):
+        reach = np.einsum("nj,njk->nk", reach, link)
+    return ZeroPattern("graph", order, graph.dim, ~reach.all(axis=1),
+                       {"edges": [list(e) for e in graph.sorted_edges()]})
 
 
 def diagonal_pattern(dim: int, order: int) -> ZeroPattern:
     """Zero at every non-constant index tuple."""
     _check_order(order)
-    return _build("diagonal", order, dim, lambda idx: idx[0] != idx[-1])
+    return ZeroPattern("diagonal", order, dim, _multiplicities(dim, order)[:, 0] < order)
 
 
 def reflectional_pattern(dim: int, order: int) -> ZeroPattern:
@@ -251,21 +228,13 @@ def reflectional_pattern(dim: int, order: int) -> ZeroPattern:
     _check_order(order)
     if order % 2 != 0:
         raise ValueError(f"reflectional pattern requires even order, got {order}")
-
-    def zero(idx: MultiIndex) -> bool:
-        return any(c % 2 != 0 for c in Counter(idx).values())
-
-    return _build("reflectional", order, dim, zero)
+    return ZeroPattern("reflectional", order, dim, (_multiplicities(dim, order) % 2 == 1).any(axis=1))
 
 
 def mean_independence_pattern(dim: int, order: int) -> ZeroPattern:
     """Zero iff some distinct index has multiplicity exactly one."""
     _check_order(order)
-
-    def zero(idx: MultiIndex) -> bool:
-        return any(c == 1 for c in Counter(idx).values())
-
-    return _build("mean_independence", order, dim, zero)
+    return ZeroPattern("mean_independence", order, dim, (_multiplicities(dim, order) == 1).any(axis=1))
 
 
 def intersect_patterns(a: ZeroPattern, b: ZeroPattern) -> ZeroPattern:

@@ -15,7 +15,6 @@ Distribution tags (all standardized to mean 0, variance 1):
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from . import _json
 from ._rng import as_generator, child_generators
 from .estimation import whiten
-from .patterns import IndependenceGraph, PartitionSpec, _components
+from .patterns import IndependenceGraph, PartitionSpec
 
 __all__ = [
     "DIST_TAGS",
@@ -63,6 +62,8 @@ def _draw(tag: str, n: int, g: np.random.Generator) -> np.ndarray:
 
 
 def _resolve_dists(dist: str | list[str], d: int) -> list[str]:
+    if not isinstance(dist, (str, list, tuple)):
+        raise TypeError(f"dist must be a tag or a list of tags, got {dist!r}")
     tags = [dist] * d if isinstance(dist, str) else list(dist)
     if len(tags) != d:
         raise ValueError(f"need {d} distribution tags, got {len(tags)}")
@@ -135,11 +136,16 @@ def _chain(graph: IndependenceGraph) -> bool:
 
 
 def _complete_components(graph: IndependenceGraph) -> PartitionSpec | None:
-    """Partition spec when every connected component is a complete graph."""
-    blocks = _components(range(1, graph.dim + 1), graph.edges)
-    if all(pair in graph.edges for block in blocks for pair in itertools.combinations(block, 2)):
-        return PartitionSpec(graph.dim, tuple(blocks))
-    return None
+    """Partition spec when every connected component is a complete graph.
+
+    That holds exactly when "equal or adjacent" is transitive; each block is
+    then a distinct row of that relation, in the order of its first vertex.
+    """
+    linked = (graph.adjacency() > 0) | np.eye(graph.dim, dtype=bool)
+    if not (linked @ linked == linked).all():
+        return None
+    firsts = np.unique(linked.argmax(axis=1))
+    return PartitionSpec(graph.dim, tuple(tuple(np.flatnonzero(linked[v]) + 1) for v in firsts))
 
 
 def gen_graph_sources(n: int, graph: IndependenceGraph, rng: int | np.random.Generator) -> np.ndarray:
@@ -197,7 +203,7 @@ class SourceSpec:
 
     kind: str  # independent | partitioned | graph
     dim: int
-    dist: str = "uniform"
+    dist: str | list[str] = "uniform"  # one tag for every coordinate, or one per coordinate
     blocks: tuple[tuple[int, ...], ...] | None = None
     edges: tuple[tuple[int, int], ...] | None = None
 
@@ -212,8 +218,7 @@ class SourceSpec:
             raise ValueError(f"{self.kind} sources take no blocks")
         if self.kind != "graph" and self.edges is not None:
             raise ValueError(f"{self.kind} sources take no edges")
-        if self.dist == "gaussian" and self.dim > 1:
-            raise ValueError("at most one gaussian coordinate is identifiable")
+        _resolve_dists(self.dist, self.dim)
 
 
 def simulate(spec: SourceSpec, n: int, seed: int) -> np.ndarray:

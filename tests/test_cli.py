@@ -189,10 +189,11 @@ def test_probe_star_graph(workdir, capsys):
 _NO_SCIPY_SCRIPT = textwrap.dedent(
     """
     import json, os, sys
-    from pica import cli
+    from pica import cli, recovery
+    from pica.estimation import read_csv
     from pica.groups import random_orthogonal, save_matrix
     from pica.patterns import diagonal_pattern, save_pattern
-    from pica.simulate import SourceSpec, save_source_spec
+    from pica.simulate import SourceSpec, mix, save_source_spec
 
     work = sys.argv[1]
     path = lambda name: os.path.join(work, name)
@@ -203,25 +204,31 @@ _NO_SCIPY_SCRIPT = textwrap.dedent(
         json.dump({"d": 4, "edges": [[1, 2], [1, 3], [1, 4]]}, fh)
     codes = [
         cli.run(["simulate", "--spec", path("spec.json"), "--n", "2000", "--seed", "1", "--out", path("x.csv")]),
+        cli.run(["cumulants", "--in", path("x.csv"), "--order", "4", "--out", path("kappa.json")]),
+        cli.run(["check", "--tensor", path("kappa.json"), "--pattern", path("pattern.json"), "--tol", "1"]),
         cli.run(["recover", "--in", path("x.csv"), "--pattern", path("pattern.json"), "--order", "4",
                  "--restarts", "1", "--seed", "2", "--out", path("report.json")]),
         cli.run(["verify", "--report", path("report.json"), "--truth", path("truth.json"), "--blocks", "1,1,1"]),
         cli.run(["probe", "--graph", path("graph.json"), "--order", "3", "--trials", "2", "--seed", "3",
                  "--out", path("probe.json")]),
     ]
+    a = random_orthogonal(3, 4)
+    report = recovery.comon_pipeline(mix(read_csv(path("x.csv")), a), recovery.RecoveryOptions(restarts=1), a_true=a)
+    codes.append(int(report.extras["is_signed_permutation"]))
     print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
     """
 )
 
 
 def test_simulate_verify_and_probe_import_no_scipy(workdir):
-    # importing scipy.optimize costs more time and memory than verify and probe themselves
+    # pica depends on numpy alone: no command, nor the classical pipeline's
+    # signed-permutation check, imports scipy
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pica.__file__)))
     done = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(workdir)], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     result = json.loads(done.stdout.strip().splitlines()[-1])
     # verify exits 3: the truth is not the mixing behind x.csv
-    assert result["codes"] == [0, 0, 3, 0]
+    assert result["codes"] == [0, 0, 0, 0, 3, 0, 1]
     assert result["scipy"] == []
 
 
@@ -235,6 +242,21 @@ def test_usage_errors_exit_one():
     assert cli.run(["frobnicate"]) == 1
     assert cli.run(["simulate", "--n", "10"]) == 1  # missing required flags
     assert cli.run(["check", "--tensor", "x.json"]) == 1
+
+
+def test_non_finite_or_negative_tolerance_is_a_usage_error(workdir, capsys):
+    t_path, p_path = workdir / "t.json", workdir / "p.json"
+    save_tensor(tensor_from_entries(3, 2, [((1, 1, 1), 1.0)]), t_path)
+    save_pattern(diagonal_pattern(2, 3), p_path)
+    check = ["check", "--tensor", str(t_path), "--pattern", str(p_path), "--tol"]
+    assert cli.run(check + ["0"]) == 0
+    # parsing refuses the bound before the report or truth file is read
+    verify = ["verify", "--report", str(workdir / "r.json"), "--truth", str(workdir / "a.json"), "--blocks", "2,2",
+              "--threshold"]
+    capsys.readouterr()
+    for argv in [check + ["nan"], check + ["-1"], check + ["inf"], verify + ["nan"], verify + ["-0.5"]]:
+        assert cli.run(argv) == 1, argv
+        assert "expected a finite number >= 0" in capsys.readouterr().err
 
 
 def test_io_errors_exit_two(workdir, capsys):
@@ -299,6 +321,10 @@ def test_io_errors_exit_two(workdir, capsys):
         ({"d": 3.5, "edges": [[1, 2]]}, ["probe", "--graph", str(bad), "--seed", "0"]),
         ({"d": 3, "edges": [[1, 2.5]]}, ["probe", "--graph", str(bad), "--seed", "0"]),
         ({"kind": "independent", "d": "2"}, simulate_bad_spec),
+        # a distribution must be a tag or a list of tags
+        ({"kind": "independent", "d": 3, "dist": 5}, simulate_bad_spec),
+        ({"kind": "independent", "d": 3, "dist": None}, simulate_bad_spec),
+        ({"kind": "independent", "d": 3, "dist": True}, simulate_bad_spec),
         ({"kind": "partitioned", "d": 4, "blocks": [[1, 2], [3, 4.0001]]}, simulate_bad_spec),
         ({"kind": "graph", "d": 3, "edges": [[1, 2.5]]}, simulate_bad_spec),
         ({**report, "order": 4.5}, ["verify", "--report", str(bad), "--truth", str(truth_path), "--blocks", "2,2"]),

@@ -312,6 +312,46 @@ def test_nearest_signed_permutation():
     assert dist == pytest.approx(0.01, abs=1e-12)
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_nearest_signed_permutation_matches_brute_force(d):
+    rng = np.random.default_rng(d)
+    cases = [rng.standard_normal((d, d)) for _ in range(20)]
+    cases += [random_signed_permutation(d, rng) + 0.3 * rng.standard_normal((d, d)) for _ in range(20)]
+    cases += [rng.integers(-2, 3, (d, d)).astype(float) for _ in range(10)]  # exact ties
+    for q in cases:
+        perms = itertools.permutations(range(d))
+        gains = sorted((sum(abs(q[i, j]) for i, j in enumerate(perm)), perm) for perm in perms)
+        p, dist = nearest_signed_permutation(q)
+        cols = np.abs(p).argmax(axis=1)
+        assert np.abs(q[np.arange(d), cols]).sum() == pytest.approx(gains[-1][0], abs=1e-12)
+        if len(gains) == 1 or gains[-1][0] - gains[-2][0] > 1e-12:
+            assert tuple(cols) == gains[-1][1]
+        np.testing.assert_array_equal(p[np.arange(d), cols], np.where(q[np.arange(d), cols] >= 0, 1.0, -1.0))
+        assert is_signed_permutation(p)
+        assert dist == np.abs(q - p).max()
+
+
+def test_nearest_signed_permutation_refuses_large_or_non_finite_input():
+    with pytest.raises(ValueError, match="d <= 8, got 9"):
+        nearest_signed_permutation(np.eye(9))
+    q = np.eye(3)
+    q[0, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        nearest_signed_permutation(q)
+
+
+def test_graph_automorphism_check_matches_dense_conjugation():
+    rng = np.random.default_rng(0)
+    for d in range(1, 6):
+        pairs = list(itertools.combinations(range(1, d + 1), 2))
+        for edges in [[], pairs] + [[e for e in pairs if rng.random() < 0.5] for _ in range(4)]:
+            graph = IndependenceGraph(d, edges)
+            a = graph.adjacency()
+            for perm in itertools.permutations(range(d)):
+                p = np.eye(d)[list(perm)]
+                assert graph_automorphism_check(p, graph) == bool((p.T @ a @ p == a).all()), (edges, perm)
+
+
 def test_graph_automorphism_star():
     star = IndependenceGraph(4, [(1, 2), (1, 3), (1, 4)])
     # hub fixed, leaves permuted: automorphism

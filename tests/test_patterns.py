@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from pica.patterns import (
     sample_membership_tol,
     save_pattern,
 )
-from pica.tensor import SymmetricTensor, multilinear_transform, num_entries, tensor_from_entries
+from pica.simulate import _complete_components
+from pica.tensor import SymmetricTensor, canonical_indices, multilinear_transform, num_entries, tensor_from_entries
 
 EXAMPLE_Q = 0.5 * np.array([[-1, 1, 1, 1], [1, -1, 1, 1], [1, 1, -1, 1], [1, 1, 1, -1.0]])
 
@@ -126,6 +128,76 @@ def test_complete_components_match_partition_pattern():
     spec = PartitionSpec(5, blocks)
     for r in (2, 3, 4):
         assert pattern_from_graph(g, r).same_predicate(pattern_from_partition(spec, r))
+
+
+def components(vertices, edges):
+    """Connected components of the induced subgraph, by union-find.
+
+    Each component lists its vertices in the order of ``vertices``, and
+    components come in the order of their first vertex.
+    """
+    parent = {v: v for v in vertices}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v in edges:
+        if u in parent and v in parent:
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[ru] = rv
+    found = {}
+    for v in vertices:
+        found.setdefault(find(v), []).append(v)
+    return [tuple(c) for c in found.values()]
+
+
+def reference_mask(dim, order, zero):
+    """Zero set from a predicate evaluated on one canonical index tuple at a time."""
+    return np.array([zero(idx) for idx in canonical_indices(dim, order)], dtype=bool)
+
+
+def reference_complete_blocks(graph):
+    blocks = components(range(1, graph.dim + 1), graph.edges)
+    if all(pair in graph.edges for block in blocks for pair in itertools.combinations(block, 2)):
+        return tuple(blocks)
+    return None
+
+
+def random_partition(d, rng):
+    labels = rng.integers(0, rng.integers(1, d + 1), d)
+    return PartitionSpec(d, tuple(tuple(int(i) + 1 for i in np.flatnonzero(labels == b)) for b in np.unique(labels)))
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_zero_masks_and_complete_components_match_per_tuple_reference(d):
+    rng = np.random.default_rng(d)
+    pairs = list(itertools.combinations(range(1, d + 1), 2))
+    specs = [random_partition(d, rng) for _ in range(3)]
+    graphs = [IndependenceGraph(d, []), IndependenceGraph(d, pairs)]
+    graphs += [IndependenceGraph(d, [e for e in pairs if rng.random() < p]) for p in (0.3, 0.5, 0.7)]
+    graphs += [IndependenceGraph(d, [e for b in spec.blocks for e in itertools.combinations(b, 2)]) for spec in specs]
+    for graph in graphs:
+        spec = _complete_components(graph)
+        assert (None if spec is None else spec.blocks) == reference_complete_blocks(graph), graph.edges
+    for r in range(2, 7):
+        for spec in specs:
+            block_of = spec.block_of()
+            want = reference_mask(d, r, lambda idx: any(block_of[i] != block_of[idx[0]] for i in idx[1:]))
+            np.testing.assert_array_equal(pattern_from_partition(spec, r).zero_mask, want)
+        for graph in graphs:
+            want = reference_mask(d, r, lambda idx: len(components(set(idx), graph.edges)) > 1)
+            np.testing.assert_array_equal(pattern_from_graph(graph, r).zero_mask, want)
+        want = reference_mask(d, r, lambda idx: idx[0] != idx[-1])
+        np.testing.assert_array_equal(diagonal_pattern(d, r).zero_mask, want)
+        want = reference_mask(d, r, lambda idx: any(c == 1 for c in Counter(idx).values()))
+        np.testing.assert_array_equal(mean_independence_pattern(d, r).zero_mask, want)
+        if r % 2 == 0:
+            want = reference_mask(d, r, lambda idx: any(c % 2 != 0 for c in Counter(idx).values()))
+            np.testing.assert_array_equal(reflectional_pattern(d, r).zero_mask, want)
 
 
 def test_diagonal_pattern_counts():
