@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partitions import _check_conversion_budget, moments_to_cumulants
-from .tensor import SymmetricTensor, _check_shape, _colex_ranks, num_entries
+from .tensor import SymmetricTensor, _check_shape, canonical_indices, num_entries
 
 __all__ = [
     "DegenerateDataError",
@@ -74,7 +74,8 @@ def sample_moments(x: np.ndarray, r: int) -> list[SymmetricTensor]:
     One depth-first walk: the r-tuples in lex order pass every shorter
     non-decreasing tuple as a prefix, each once, and a tuple's product column
     is its parent's times column i_k, kept in one preallocated row per depth.
-    Means are gathered in walk (lex) order and placed by colex rank.
+    Means are gathered in walk (lex) order; sorting the colex rows into lex
+    order gives each its colex rank.
     """
     x = as_sample_matrix(x)
     n, d = x.shape
@@ -97,9 +98,8 @@ def sample_moments(x: np.ndarray, r: int) -> list[SymmetricTensor]:
         prev = tup
     out = []
     for k, means in enumerate(walked, start=1):
-        lex = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(1, d + 1), k))
         vals = np.empty_like(means)
-        vals[_colex_ranks(np.fromiter(lex, dtype=np.int64).reshape(-1, k))] = means
+        vals[np.lexsort(canonical_indices(d, k).T[::-1])] = means
         out.append(SymmetricTensor(k, d, vals))
     return out
 

@@ -90,11 +90,7 @@ class BlockStructure:
 
     @property
     def offsets(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for k in self.sizes:
-            out.append(acc)
-            acc += k
-        return tuple(out)
+        return tuple(itertools.accumulate(self.sizes[:-1], initial=0))
 
     def span(self, i: int) -> slice:
         return slice(self.offsets[i], self.offsets[i] + self.sizes[i])
@@ -449,7 +445,7 @@ def conjecture_probe(
     # s_{i_1}..s_{i_r} T[sort(pi(i))]: the dense contraction adds only exact
     # zeros to that one product, and membership sees only its magnitude, so
     # gathering the zero set gives is_member's max violation bit for bit.
-    zero_idx = np.array(canonical_indices(d, order), dtype=np.int64)[pattern.zero_mask] - 1
+    zero_idx = canonical_indices(d, order)[pattern.zero_mask] - 1
     perms = np.abs(np.array(matrices)).argmax(axis=2)
     ranks = _colex_ranks(np.sort(perms[:, zero_idx], axis=-1) + 1)
     violations = np.array([np.abs(t.values[ranks]).max(axis=-1, initial=0.0) for t in tensors])

@@ -36,34 +36,23 @@ MAX_CONVERSION_ENTRIES = 2**26
 SetPartition = tuple[tuple[int, ...], ...]
 
 
-def _rgs_strings(r: int):
-    """Restricted-growth strings of length r in lexicographic order."""
-    a = [0] * r
-    while True:
-        yield tuple(a)
-        for i in range(r - 1, 0, -1):
-            if a[i] <= max(a[:i]):
-                a[i] += 1
-                for j in range(i + 1, r):
-                    a[j] = 0
-                break
-        else:
-            return
-
-
 @lru_cache(maxsize=None)
 def enumerate_partitions(r: int) -> tuple[SetPartition, ...]:
-    """All set partitions of {1..r}, canonically ordered, B_r of them."""
+    """All set partitions of {1..r}, canonically ordered, B_r of them.
+
+    Element p joins each block of a partition of {1..p-1} in turn, then
+    opens a new one: restricted-growth strings in lexicographic order.
+    """
     if not 1 <= r <= MAX_ORDER:
         raise ValueError(f"r must be in 1..{MAX_ORDER}, got {r}")
-    result = []
-    for rgs in _rgs_strings(r):
-        nblocks = max(rgs) + 1
-        blocks: list[list[int]] = [[] for _ in range(nblocks)]
-        for pos, b in enumerate(rgs, start=1):
-            blocks[b].append(pos)
-        result.append(tuple(tuple(b) for b in blocks))
-    return tuple(result)
+    parts: list[SetPartition] = [()]
+    for p in range(1, r + 1):
+        parts = [
+            part[:b] + (part[b] + (p,),) + part[b + 1:] if b < len(part) else part + ((p,),)
+            for part in parts
+            for b in range(len(part) + 1)
+        ]
+    return tuple(parts)
 
 
 def _check_sequence(tensors: list[SymmetricTensor], what: str) -> tuple[int, int]:
@@ -96,7 +85,7 @@ def _convert(tensors: list[SymmetricTensor], weight) -> list[SymmetricTensor]:
     _check_conversion_budget(dim, r)
     out = []
     for k in range(1, r + 1):
-        idxs = np.array(canonical_indices(dim, k), dtype=np.int64)
+        idxs = canonical_indices(dim, k)
         vals = np.zeros(len(idxs))
         sub = {}  # entries at each block's sub-tuples, canonical since block positions ascend
         for part in enumerate_partitions(k):

@@ -30,10 +30,10 @@ from .tensor import (
     MultiIndex,
     SymmetricTensor,
     _dense_rank_array,
-    canonical_index,
+    _index_rank,
     canonical_indices,
-    canonical_rank,
     marginalize,
+    num_entries,
 )
 
 __all__ = [
@@ -136,7 +136,7 @@ class ZeroPattern:
 
     def __init__(self, kind: str, order: int, dim: int, zero_mask: np.ndarray, meta: dict | None = None):
         zero_mask = np.asarray(zero_mask, dtype=bool)
-        expected = len(canonical_indices(dim, order))
+        expected = num_entries(dim, order)
         if zero_mask.shape != (expected,):
             raise ValueError(f"mask has shape {zero_mask.shape}, expected ({expected},)")
         zero_mask.flags.writeable = False
@@ -147,10 +147,7 @@ class ZeroPattern:
         self.meta = dict(meta or {})
 
     def is_zero_constrained(self, index: Sequence[int]) -> bool:
-        idx = canonical_index(index, self.dim)
-        if len(idx) != self.order:
-            raise ValueError(f"index length {len(idx)} != order {self.order}")
-        return bool(self.zero_mask[canonical_rank(idx)])
+        return bool(self.zero_mask[_index_rank(index, self.dim, self.order)])
 
     def zero_count(self) -> int:
         return int(self.zero_mask.sum())
@@ -179,7 +176,7 @@ class ZeroPattern:
 
 def _pairs(dim: int, order: int, relation: np.ndarray) -> np.ndarray:
     """``relation[i_a, i_b]`` for every position pair (a, b) of every canonical index, N x r x r."""
-    idx = np.array(canonical_indices(dim, order)) - 1
+    idx = canonical_indices(dim, order) - 1
     return relation[idx[:, :, None], idx[:, None, :]]
 
 
@@ -218,9 +215,10 @@ def pattern_from_graph(graph: IndependenceGraph, order: int) -> ZeroPattern:
 
 
 def diagonal_pattern(dim: int, order: int) -> ZeroPattern:
-    """Zero at every non-constant index tuple."""
+    """Zero at every non-constant index tuple; rows are sorted, so first and last differ."""
     _check_order(order)
-    return ZeroPattern("diagonal", order, dim, _multiplicities(dim, order)[:, 0] < order)
+    idx = canonical_indices(dim, order)
+    return ZeroPattern("diagonal", order, dim, idx[:, 0] != idx[:, -1])
 
 
 def reflectional_pattern(dim: int, order: int) -> ZeroPattern:
@@ -259,7 +257,7 @@ def is_member(tensor: SymmetricTensor, pattern: ZeroPattern, tol: float = POPULA
     if constrained.size == 0:
         return MembershipResult(True, 0.0, None)
     pos = int(np.argmax(constrained))
-    worst = canonical_indices(tensor.dim, tensor.order)[np.flatnonzero(pattern.zero_mask)[pos]]
+    worst = tuple(canonical_indices(tensor.dim, tensor.order)[np.flatnonzero(pattern.zero_mask)[pos]].tolist())
     max_violation = float(constrained[pos])
     return MembershipResult(max_violation <= tol, max_violation, worst)
 
@@ -287,12 +285,10 @@ def marginal_distinctness(tensor: SymmetricTensor, tol: float = POPULATION_TOL) 
     m = tensor
     while m.order > 2:
         m = marginalize(m)
-    diag = np.array([m.lookup((i, i)) for i in range(1, tensor.dim + 1)])
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            if abs(diag[i] - diag[j]) <= tol:
-                return False
-    return True
+    diag = np.diagonal(m.to_dense())
+    i, j = np.triu_indices(len(diag), 1)
+    # a NaN difference compares False, so it never counts as a tie
+    return not (np.abs(diag[i] - diag[j]) <= tol).any()
 
 
 def sample_membership_tol(tensor: SymmetricTensor, pattern: ZeroPattern, n_samples: int) -> float:

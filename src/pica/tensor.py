@@ -12,7 +12,6 @@ Indices are 1-based throughout, matching the JSON interchange format.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -97,12 +96,30 @@ def canonical_rank(index: MultiIndex) -> int:
     return int(_colex_ranks(np.array([index], dtype=np.int64))[0])
 
 
+def _index_rank(index: Sequence[int], dim: int, order: int) -> int:
+    """Colex rank of any permutation of a length-``order`` index tuple in 1..dim."""
+    idx = canonical_index(index, dim)
+    if len(idx) != order:
+        raise ValueError(f"index length {len(idx)} != order {order}")
+    return canonical_rank(idx)
+
+
 @lru_cache(maxsize=16)
-def canonical_indices(dim: int, order: int) -> tuple[MultiIndex, ...]:
-    """All canonical index tuples in colexicographic order."""
+def canonical_indices(dim: int, order: int) -> np.ndarray:
+    """All canonical index tuples as a read-only (N, order) int64 array, rows in colex order.
+
+    In colex order the order-(k-1) tuples whose last value is at most v are
+    the first C(v+k-2, k-1); the order-k tuples ending in v are exactly those
+    with v appended, so stacking them for v = 1..dim builds order k.
+    """
     _check_entry_budget(dim, order)
-    combos = itertools.combinations_with_replacement(range(1, dim + 1), order)
-    return tuple(sorted(combos, key=lambda t: t[::-1]))
+    idx = np.empty((1, 0), dtype=np.int64)
+    for k in range(1, order + 1):
+        counts = [num_entries(v, k - 1) for v in range(1, dim + 1)]
+        rows = np.arange(sum(counts)) - np.repeat(np.cumsum(counts) - counts, counts)
+        idx = np.column_stack((idx[rows], np.repeat(np.arange(1, dim + 1), counts)))
+    idx.flags.writeable = False
+    return idx
 
 
 @lru_cache(maxsize=16)
@@ -114,14 +131,6 @@ def _dense_rank_array(dim: int, order: int) -> np.ndarray:
     ranks = _colex_ranks(grid.T)
     ranks.flags.writeable = False
     return ranks
-
-
-@lru_cache(maxsize=16)
-def _canonical_flat_positions(dim: int, order: int) -> np.ndarray:
-    """Flat dense position of the sorted representative of each rank."""
-    pos = np.ravel_multi_index(np.array(canonical_indices(dim, order)).T - 1, (dim,) * order)
-    pos.flags.writeable = False
-    return pos
 
 
 class SymmetricTensor:
@@ -152,17 +161,14 @@ class SymmetricTensor:
 
     def lookup(self, index: Sequence[int]) -> float:
         """Entry at ``index``; invariant under permutations of the tuple."""
-        idx = canonical_index(index, self.dim)
-        if len(idx) != self.order:
-            raise ValueError(f"index length {len(idx)} != order {self.order}")
-        return float(self.values[canonical_rank(idx)])
+        return float(self.values[_index_rank(index, self.dim, self.order)])
 
     __getitem__ = lookup
 
     def entries(self) -> Iterator[tuple[MultiIndex, float]]:
         """Yield (canonical index, value) pairs in colex order."""
-        for idx, v in zip(canonical_indices(self.dim, self.order), self.values):
-            yield idx, float(v)
+        for idx, v in zip(canonical_indices(self.dim, self.order).tolist(), self.values.tolist()):
+            yield tuple(idx), v
 
     def to_dense(self) -> np.ndarray:
         """Full d^r array; writable copy."""
@@ -177,7 +183,7 @@ class SymmetricTensor:
         if dense.shape != (dim,) * order:
             raise ValueError(f"dense array must be hypercubic, got {dense.shape}")
         vals = np.ascontiguousarray(dense, dtype=float).reshape(-1)[
-            _canonical_flat_positions(dim, order)
+            np.ravel_multi_index(canonical_indices(dim, order).T - 1, dense.shape)
         ]
         t = cls(order, dim, vals)
         if tol is not None:

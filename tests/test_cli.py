@@ -396,3 +396,8 @@ def test_check_output_format(workdir, capsys):
     assert cli.run(["check", "--tensor", str(t_path), "--pattern", str(p_path)]) == 0
     out = capsys.readouterr().out
     assert "member" in out and "max violation" in out
+    # the worst index prints as plain ints
+    save_tensor(tensor_from_entries(4, 2, [((1, 1, 1, 1), 1.0), ((2, 1, 2, 2), -0.5), ((1, 1, 2, 2), 0.25)]), t_path)
+    save_pattern(diagonal_pattern(2, 4), p_path)
+    assert cli.run(["check", "--tensor", str(t_path), "--pattern", str(p_path)]) == 3
+    assert capsys.readouterr().out == "non-member: max violation 5.000000e-01 at [1, 2, 2, 2] (tol 1e-10)\n"

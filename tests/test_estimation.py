@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from pica.tensor import (
 
 def reference_moment(x, r):
     """Per-entry product loop: each column product rebuilt from scratch, left to right."""
-    idxs = canonical_indices(x.shape[1], r)
+    idxs = sorted(itertools.combinations_with_replacement(range(1, x.shape[1] + 1), r), key=lambda t: t[::-1])
     vals = np.empty(len(idxs))
     for rank, idx in enumerate(idxs):
         prod = x[:, idx[0] - 1].copy()

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,13 +8,18 @@ from hypothesis import strategies as st
 
 from pica.estimation import sample_cumulant
 from pica.partitions import MAX_CONVERSION_ENTRIES, cumulants_to_moments, enumerate_partitions, moments_to_cumulants
-from pica.tensor import SymmetricTensor, canonical_indices, num_entries, tensor_from_entries
+from pica.tensor import SymmetricTensor, num_entries, tensor_from_entries
 
 BELL = [1, 2, 5, 15, 52, 203]
 
 
 def random_sequence(dim, r, rng):
     return [SymmetricTensor(k, dim, rng.standard_normal(num_entries(dim, k))) for k in range(1, r + 1)]
+
+
+def colex_tuples(dim, order):
+    """Reference enumeration: the non-decreasing index tuples, sorted colexicographically."""
+    return sorted(itertools.combinations_with_replacement(range(1, dim + 1), order), key=lambda t: t[::-1])
 
 
 def per_entry_convert(tensors, weight):
@@ -25,10 +31,10 @@ def per_entry_convert(tensors, weight):
     dim = tensors[0].dim
     position = {}
     for t in tensors:
-        position.update((idx, rank) for rank, idx in enumerate(canonical_indices(dim, t.order)))
+        position.update((idx, rank) for rank, idx in enumerate(colex_tuples(dim, t.order)))
     out = []
     for k in range(1, len(tensors) + 1):
-        idxs = canonical_indices(dim, k)
+        idxs = colex_tuples(dim, k)
         vals = np.empty(len(idxs))
         parts = enumerate_partitions(k)
         for rank, idx in enumerate(idxs):
@@ -68,6 +74,19 @@ def test_enumeration_order_is_stable():
     parts = enumerate_partitions(4)
     assert parts[0] == ((1, 2, 3, 4),)
     assert parts[-1] == ((1,), (2,), (3,), (4,))
+
+
+def test_enumeration_order_matches_restricted_growth_strings():
+    """Independent reference: restricted-growth strings in lexicographic order, split into blocks."""
+    for r in range(1, 8):
+        strings = sorted(
+            a for a in itertools.product(*(range(p) for p in range(1, r + 1)))
+            if all(a[p] <= max(a[:p]) + 1 for p in range(1, r))
+        )
+        want = tuple(
+            tuple(tuple(p + 1 for p in range(r) if a[p] == b) for b in range(max(a) + 1)) for a in strings
+        )
+        assert enumerate_partitions(r) == want, r
 
 
 @settings(max_examples=30, deadline=None)

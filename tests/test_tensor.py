@@ -39,12 +39,25 @@ def direct_sum(a, dense):
     return np.einsum(spec, *([a] * order), dense, optimize=False)
 
 
+def colex_tuples(dim, order):
+    """Reference enumeration: the non-decreasing index tuples, sorted colexicographically."""
+    return sorted(itertools.combinations_with_replacement(range(1, dim + 1), order), key=lambda t: t[::-1])
+
+
+def test_canonical_indices_match_python_enumeration():
+    grid = [(1, 1), (1, 8), (5, 1), (2, 2), (3, 4), (4, 3), (2, 8), (6, 3), (3, 8), (7, 5), (45, 4)]
+    for d, r in grid:
+        idx = canonical_indices(d, r)
+        assert idx.dtype == np.int64 and idx.shape == (num_entries(d, r), r)
+        assert not idx.flags.writeable
+        assert list(map(tuple, idx.tolist())) == colex_tuples(d, r), (d, r)
+
+
 def test_rank_matches_colex_enumeration():
     for d, r in [(2, 2), (3, 2), (3, 4), (4, 3), (2, 8), (6, 3)]:
-        for pos, idx in enumerate(canonical_indices(d, r)):
+        for pos, idx in enumerate(colex_tuples(d, r)):
             assert canonical_rank(idx) == pos
-        ranks = _colex_ranks(np.array(canonical_indices(d, r)))
-        np.testing.assert_array_equal(ranks, np.arange(num_entries(d, r)))
+        np.testing.assert_array_equal(_colex_ranks(canonical_indices(d, r)), np.arange(num_entries(d, r)))
 
 
 def test_unique_entry_count():
