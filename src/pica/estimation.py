@@ -110,7 +110,7 @@ def sample_moment(x: np.ndarray, r: int) -> SymmetricTensor:
 
 
 def sample_cumulant(x: np.ndarray, r: int) -> SymmetricTensor:
-    """Order-r plug-in cumulant tensor via the partition-sum conversion.
+    """Order-r plug-in cumulant tensor: the last of ``moments_to_cumulants(sample_moments(x, r))``.
 
     A conversion over its budget is refused before any moment is taken.
     """

@@ -1,19 +1,19 @@
-"""Set partitions and the moment/cumulant conversion they drive.
+"""Set partitions and the moment/cumulant conversion.
 
 Partitions of {1..r} are enumerated as restricted-growth strings in
 lexicographic order, which fixes a deterministic canonical ordering.  The
-conversion between the moment tensors mu_1..mu_r and cumulant tensors
-kappa_1..kappa_r is the exact combinatorial sum over partitions:
+moments mu_k and cumulants kappa_k convert by recursing on the block B of
+a partition that holds position 1 (McCullagh 1987):
 
-    mu_r[i]    = sum over partitions pi of prod_{B in pi} kappa_{|B|}[i_B]
-    kappa_r[i] = sum over pi of (-1)^(|pi|-1) (|pi|-1)! prod_B mu_{|B|}[i_B]
+    mu_k[i] = sum over position sets B containing 1 of kappa_{|B|}[i_B] mu_{k-|B|}[i_{B^c}],   mu_0 = 1,
 
-where i_B is the sub-tuple of i at the positions in block B.
+where i_B is the sub-tuple of i at the positions in B.  The term with B all
+k positions is kappa_k[i]; the other 2^(k-1) - 1 need only lower orders, so
+one loop solves for kappa_k or for mu_k.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -28,8 +28,8 @@ __all__ = [
     "cumulants_to_moments",
 ]
 
-# The order-r conversion holds one array of C(d+r-1, r) entries per
-# non-empty position subset of an r-tuple; refuse more than this in all.
+# The order-r conversion gathers C(d+r-1, r) sub-tuple entries per non-empty position
+# subset of an r-tuple, holding O(C(d+r-1, r)) at a time; refuse more than this in all.
 MAX_CONVERSION_ENTRIES = 2**26
 
 # Blocks ordered by minimum element, elements ascending inside a block.
@@ -80,30 +80,29 @@ def _check_conversion_budget(dim: int, order: int) -> None:
         )
 
 
-def _convert(tensors: list[SymmetricTensor], weight) -> list[SymmetricTensor]:
+def _convert(tensors: list[SymmetricTensor], sign: float) -> list[SymmetricTensor]:
+    """kappa from mu (sign -1) or mu from kappa (sign +1) by the first-block recursion."""
     r, dim = _check_sequence(tensors, "tensor")
     _check_conversion_budget(dim, r)
-    out = []
+    given = [t.values for t in tensors]
+    made: list[np.ndarray] = []
+    kappa, mu = (made, given) if sign < 0 else (given, made)
     for k in range(1, r + 1):
         idxs = canonical_indices(dim, k)
-        vals = np.zeros(len(idxs))
-        sub = {}  # entries at each block's sub-tuples, canonical since block positions ascend
-        for part in enumerate_partitions(k):
-            term = weight(len(part))
-            for block in part:
-                if block not in sub:
-                    sub[block] = tensors[len(block) - 1].values[_colex_ranks(idxs[:, np.subtract(block, 1)])]
-                term = term * sub[block]
-            vals += term
-        out.append(SymmetricTensor(k, dim, vals))
-    return out
+        acc = np.zeros(len(idxs))
+        for rest in range(1, 2 ** (k - 1)):  # B^c as a bit set over positions 2..k
+            in_b = np.array([True] + [not rest >> p & 1 for p in range(k - 1)])
+            b, c = idxs[:, in_b], idxs[:, ~in_b]
+            acc += kappa[b.shape[1] - 1][_colex_ranks(b)] * mu[c.shape[1] - 1][_colex_ranks(c)]
+        made.append(given[k - 1] + sign * acc)
+    return [SymmetricTensor(k, dim, v) for k, v in enumerate(made, start=1)]
 
 
 def moments_to_cumulants(moments: list[SymmetricTensor]) -> list[SymmetricTensor]:
     """Cumulant tensors kappa_1..kappa_r from moment tensors mu_1..mu_r."""
-    return _convert(moments, lambda m: (-1) ** (m - 1) * math.factorial(m - 1))
+    return _convert(moments, -1.0)
 
 
 def cumulants_to_moments(cumulants: list[SymmetricTensor]) -> list[SymmetricTensor]:
     """Moment tensors mu_1..mu_r from cumulant tensors kappa_1..kappa_r."""
-    return _convert(cumulants, lambda m: 1.0)
+    return _convert(cumulants, 1.0)

@@ -4,9 +4,10 @@ A ZeroPattern marks the canonical entries of an order-r tensor that some
 independence hypothesis forces to vanish.  Membership of a tensor in the
 corresponding variety is then a max-violation check over the marked
 entries.  Patterns materialize their zero set once, at construction, as a
-boolean mask over the canonical index list, each from one relation on the
-coordinates gathered over every pair of index positions; ``dense_zero_mask``
-spreads it over the d^r cube that recovery works on.
+boolean mask over the canonical index array.  Its rows are sorted, so equal
+indices form runs and most masks compare neighbouring positions; the graph
+mask gathers adjacency over every pair of positions.  ``dense_zero_mask``
+spreads the mask over the d^r cube that recovery works on.
 
 Kinds:
   partition          two indices in distinct blocks
@@ -174,17 +175,6 @@ class ZeroPattern:
         )
 
 
-def _pairs(dim: int, order: int, relation: np.ndarray) -> np.ndarray:
-    """``relation[i_a, i_b]`` for every position pair (a, b) of every canonical index, N x r x r."""
-    idx = canonical_indices(dim, order) - 1
-    return relation[idx[:, :, None], idx[:, None, :]]
-
-
-def _multiplicities(dim: int, order: int) -> np.ndarray:
-    """N x r: how many positions of each canonical index hold the value at position a."""
-    return _pairs(dim, order, np.eye(dim, dtype=bool)).sum(axis=2)
-
-
 def _check_order(order: int) -> None:
     if order < 2:
         raise ValueError(f"patterns require order >= 2, got {order}")
@@ -193,8 +183,8 @@ def _check_order(order: int) -> None:
 def pattern_from_partition(spec: PartitionSpec, order: int) -> ZeroPattern:
     """Zero iff the index tuple meets two distinct blocks."""
     _check_order(order)
-    block = spec.block_of()[1:]
-    zero = ~_pairs(spec.dim, order, block[:, None] == block).all(axis=(1, 2))
+    block = spec.block_of()[canonical_indices(spec.dim, order)]
+    zero = (block != block[:, :1]).any(axis=1)
     return ZeroPattern("partition", order, spec.dim, zero, {"blocks": [list(b) for b in spec.blocks]})
 
 
@@ -206,7 +196,8 @@ def pattern_from_graph(graph: IndependenceGraph, order: int) -> ZeroPattern:
     reach each other in at most r - 1 steps.
     """
     _check_order(order)
-    link = _pairs(graph.dim, order, (graph.adjacency() > 0) | np.eye(graph.dim, dtype=bool))
+    idx = canonical_indices(graph.dim, order) - 1
+    link = ((graph.adjacency() > 0) | np.eye(graph.dim, dtype=bool))[idx[:, :, None], idx[:, None, :]]
     reach = link[:, 0]
     for _ in range(order - 2):
         reach = np.einsum("nj,njk->nk", reach, link)
@@ -222,17 +213,19 @@ def diagonal_pattern(dim: int, order: int) -> ZeroPattern:
 
 
 def reflectional_pattern(dim: int, order: int) -> ZeroPattern:
-    """Free iff every distinct index appears an even number of times."""
+    """Free iff every distinct index appears an even number of times: sorted, positions 1 = 2, 3 = 4 and so on."""
     _check_order(order)
     if order % 2 != 0:
         raise ValueError(f"reflectional pattern requires even order, got {order}")
-    return ZeroPattern("reflectional", order, dim, (_multiplicities(dim, order) % 2 == 1).any(axis=1))
+    idx = canonical_indices(dim, order)
+    return ZeroPattern("reflectional", order, dim, (idx[:, 0::2] != idx[:, 1::2]).any(axis=1))
 
 
 def mean_independence_pattern(dim: int, order: int) -> ZeroPattern:
-    """Zero iff some distinct index has multiplicity exactly one."""
+    """Zero iff some index appears once: in a sorted row, unlike both neighbours (0 and d + 1 pad the ends)."""
     _check_order(order)
-    return ZeroPattern("mean_independence", order, dim, (_multiplicities(dim, order) == 1).any(axis=1))
+    runs = np.diff(canonical_indices(dim, order), axis=1, prepend=0, append=dim + 1) != 0
+    return ZeroPattern("mean_independence", order, dim, (runs[:, :-1] & runs[:, 1:]).any(axis=1))
 
 
 def intersect_patterns(a: ZeroPattern, b: ZeroPattern) -> ZeroPattern:

@@ -203,7 +203,7 @@ class SourceSpec:
 
     kind: str  # independent | partitioned | graph
     dim: int
-    dist: str | list[str] = "uniform"  # one tag for every coordinate, or one per coordinate
+    dist: str | list[str] | None = None  # one tag or one per coordinate; graph sources pick their own laws
     blocks: tuple[tuple[int, ...], ...] | None = None
     edges: tuple[tuple[int, int], ...] | None = None
 
@@ -218,7 +218,10 @@ class SourceSpec:
             raise ValueError(f"{self.kind} sources take no blocks")
         if self.kind != "graph" and self.edges is not None:
             raise ValueError(f"{self.kind} sources take no edges")
-        _resolve_dists(self.dist, self.dim)
+        if self.kind != "graph":
+            _resolve_dists(self.dist, self.dim)
+        elif self.dist is not None:
+            raise TypeError(f"graph sources take no dist, got {self.dist!r}")
 
 
 def simulate(spec: SourceSpec, n: int, seed: int) -> np.ndarray:
@@ -233,12 +236,10 @@ def simulate(spec: SourceSpec, n: int, seed: int) -> np.ndarray:
 
 
 def source_spec_to_json(spec: SourceSpec) -> dict:
-    obj: dict = {"kind": spec.kind, "d": spec.dim, "dist": spec.dist}
-    if spec.blocks is not None:
-        obj["blocks"] = [list(b) for b in spec.blocks]
-    if spec.edges is not None:
-        obj["edges"] = [list(e) for e in spec.edges]
-    return obj
+    blocks = [list(b) for b in spec.blocks] if spec.blocks is not None else None
+    edges = [list(e) for e in spec.edges] if spec.edges is not None else None
+    obj = {"kind": spec.kind, "d": spec.dim, "dist": spec.dist, "blocks": blocks, "edges": edges}
+    return {key: value for key, value in obj.items() if value is not None}
 
 
 def source_spec_from_json(obj: dict) -> SourceSpec:
@@ -247,7 +248,7 @@ def source_spec_from_json(obj: dict) -> SourceSpec:
     return SourceSpec(
         kind=obj["kind"],
         dim=_json.integer(obj["d"]),
-        dist=obj.get("dist", "uniform"),
+        dist=obj.get("dist", None if obj["kind"] == "graph" else "uniform"),
         blocks=tuple(tuple(map(_json.integer, b)) for b in blocks) if blocks is not None else None,
         edges=tuple(tuple(map(_json.integer, e)) for e in edges) if edges is not None else None,
     )

@@ -83,12 +83,16 @@ def _colex_ranks(idx: np.ndarray) -> np.ndarray:
     """Colex ranks of the rows of ``idx``, each a canonical 1-based index tuple.
 
     Via the combinatorial number system: position k (0-based) of value v
-    contributes C(v - 1 + k, k + 1).
+    contributes C(v - 1 + k, k + 1), the running sum over v of the k - 1
+    column; positions are gathered one at a time in ``idx``'s own dtype.
     """
-    k = np.arange(np.shape(idx)[-1])
-    n = np.asarray(idx, dtype=np.int64) + (k - 1)
-    binom = np.array([[math.comb(m, j + 1) for j in k] for m in range(n.max(initial=0) + 1)], dtype=np.int64)
-    return binom[n, k].sum(axis=-1)
+    idx = np.asarray(idx)
+    col = np.maximum(np.arange(int(idx.max(initial=0)) + 1, dtype=np.int64) - 1, 0)
+    ranks = np.zeros(idx.shape[:-1], dtype=np.int64)
+    for k in range(idx.shape[-1]):
+        ranks += col[idx[..., k]]
+        col = np.cumsum(col)
+    return ranks
 
 
 def canonical_rank(index: MultiIndex) -> int:
@@ -124,10 +128,12 @@ def canonical_indices(dim: int, order: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _dense_rank_array(dim: int, order: int) -> np.ndarray:
-    """Rank of every position of the d^r dense cube; refuses d^r > MAX_DENSE_ENTRIES."""
+    """Rank of every d^r cube position, from a grid sorted as narrow unsigned ints; refuses d^r > MAX_DENSE_ENTRIES."""
     if dim**order > MAX_DENSE_ENTRIES:
         raise ValueError(f"dense cube d^r = {dim}^{order} = {dim**order} exceeds the budget {MAX_DENSE_ENTRIES}")
-    grid = np.sort(np.indices((dim,) * order).reshape(order, -1) + 1, axis=0)
+    grid = np.indices((dim,) * order, dtype=np.min_scalar_type(dim + order)).reshape(order, -1)
+    grid += 1
+    grid.sort(axis=0)
     ranks = _colex_ranks(grid.T)
     ranks.flags.writeable = False
     return ranks

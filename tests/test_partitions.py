@@ -6,8 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pica.estimation import sample_cumulant
+from pica.estimation import sample_cumulant, sample_moments
+from pica.groups import random_orthogonal
 from pica.partitions import MAX_CONVERSION_ENTRIES, cumulants_to_moments, enumerate_partitions, moments_to_cumulants
+from pica.simulate import gen_independent_sources, mix
 from pica.tensor import SymmetricTensor, num_entries, tensor_from_entries
 
 BELL = [1, 2, 5, 15, 52, 203]
@@ -22,32 +24,76 @@ def colex_tuples(dim, order):
     return sorted(itertools.combinations_with_replacement(range(1, dim + 1), order), key=lambda t: t[::-1])
 
 
+def colex_positions(dim, r):
+    """Position of every non-decreasing tuple of orders 1..r in its colex enumeration."""
+    return {idx: rank for k in range(1, r + 1) for rank, idx in enumerate(colex_tuples(dim, k))}
+
+
 def per_entry_convert(tensors, weight):
     """Reference partition sum: one Python product per entry, partition and block.
 
     Sub-tuples are sorted and found by their position in the colex
-    enumeration, independently of the package's rank function.
+    enumeration, independently of the package's rank function; each entry
+    looks up a block's sub-tuple once.
     """
     dim = tensors[0].dim
-    position = {}
-    for t in tensors:
-        position.update((idx, rank) for rank, idx in enumerate(colex_tuples(dim, t.order)))
+    position = colex_positions(dim, len(tensors))
+    values = [t.values.tolist() for t in tensors]
     out = []
     for k in range(1, len(tensors) + 1):
+        parts = [(weight(len(part)), [tuple(p - 1 for p in block) for block in part]) for part in enumerate_partitions(k)]
         idxs = colex_tuples(dim, k)
         vals = np.empty(len(idxs))
-        parts = enumerate_partitions(k)
         for rank, idx in enumerate(idxs):
+            sub = {}
             acc = 0.0
-            for part in parts:
-                term = weight(len(part))
-                for block in part:
-                    sub = tuple(sorted(idx[p - 1] for p in block))
-                    term *= float(tensors[len(sub) - 1].values[position[sub]])
+            for term, blocks in parts:
+                for block in blocks:
+                    if block not in sub:
+                        sub[block] = values[len(block) - 1][position[tuple(sorted(idx[p] for p in block))]]
+                    term *= sub[block]
                 acc += term
             vals[rank] = acc
         out.append(SymmetricTensor(k, dim, vals))
     return out
+
+
+def per_entry_recursion(tensors, sign):
+    """Reference first-block recursion, one Python product per entry and block B holding position 1.
+
+    out_k[i] = given_k[i] + sign * sum over B != all of kappa_|B|[i_B] mu_(k-|B|)[i_(B^c)],
+    with the complement B^c of positions 2..k enumerated as the bits of 1..2^(k-1)-1.
+    """
+    dim = tensors[0].dim
+    position = colex_positions(dim, len(tensors))
+    given = [t.values for t in tensors]
+    made = []
+    kappa, mu = (made, given) if sign < 0 else (given, made)
+    for k in range(1, len(tensors) + 1):
+        idxs = colex_tuples(dim, k)
+        vals = np.empty(len(idxs))
+        for rank, idx in enumerate(idxs):
+            acc = 0.0
+            for rest in range(1, 2 ** (k - 1)):
+                c = tuple(idx[p] for p in range(1, k) if rest >> (p - 1) & 1)
+                b = tuple(idx[p] for p in range(k) if p == 0 or not rest >> (p - 1) & 1)
+                acc += float(kappa[len(b) - 1][position[b]]) * float(mu[len(c) - 1][position[c]])
+            vals[rank] = given[k - 1][rank] + sign * acc
+        made.append(vals)
+    return [SymmetricTensor(k, dim, v) for k, v in enumerate(made, start=1)]
+
+
+MOBIUS = [
+    (moments_to_cumulants, lambda m: (-1) ** (m - 1) * math.factorial(m - 1)),
+    (cumulants_to_moments, lambda m: 1.0),
+]
+
+
+def assert_matches_partition_sum(seq):
+    """Both directions agree with the partition sum within 1e-12 * max(1, largest entry) per order."""
+    for convert, weight in MOBIUS:
+        for got, want in zip(convert(seq), per_entry_convert(seq, weight), strict=True):
+            assert np.abs(got.values - want.values).max() <= 1e-12 * max(1.0, want.max_abs()), (convert, got)
 
 
 def test_r3_partitions_match_worked_example():
@@ -196,13 +242,16 @@ def test_round_trip_is_identity():
 @example(2, 8, 0)
 def test_conversion_matches_per_entry_reference_bit_for_bit(dim, r, seed):
     seq = random_sequence(dim, r, np.random.default_rng(seed))
-    conversions = [
-        (moments_to_cumulants, lambda m: (-1) ** (m - 1) * math.factorial(m - 1)),
-        (cumulants_to_moments, lambda m: 1.0),
-    ]
-    for convert, weight in conversions:
-        for got, want in zip(convert(seq), per_entry_convert(seq, weight), strict=True):
+    for convert, sign in [(moments_to_cumulants, -1.0), (cumulants_to_moments, 1.0)]:
+        for got, want in zip(convert(seq), per_entry_recursion(seq, sign), strict=True):
             assert np.array_equal(got.values, want.values)
+    assert_matches_partition_sum(seq)
+
+
+def test_sample_moment_conversion_matches_partition_sum_at_d4_r8():
+    laws = ["uniform", "laplace_like", "rademacher_mixture", "exponential"]
+    x = mix(gen_independent_sources(20_000, 4, laws, 0), random_orthogonal(4, 1))
+    assert_matches_partition_sum(sample_moments(x, 8))
 
 
 def test_inconsistent_sequences_rejected():

@@ -186,8 +186,7 @@ def test_zero_masks_and_complete_components_match_per_tuple_reference(d):
         assert (None if spec is None else spec.blocks) == reference_complete_blocks(graph), graph.edges
     for r in range(2, 7):
         for spec in specs:
-            block_of = spec.block_of()
-            want = reference_mask(d, r, lambda idx: any(block_of[i] != block_of[idx[0]] for i in idx[1:]))
+            want = reference_mask(d, r, lambda idx: sum(not set(idx).isdisjoint(b) for b in spec.blocks) > 1)
             np.testing.assert_array_equal(pattern_from_partition(spec, r).zero_mask, want)
         for graph in graphs:
             want = reference_mask(d, r, lambda idx: len(components(set(idx), graph.edges)) > 1)

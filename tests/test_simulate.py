@@ -216,7 +216,7 @@ def test_source_spec_round_trip(tmp_path):
     specs = [
         SourceSpec("independent", 3, "uniform"),
         SourceSpec("partitioned", 4, "laplace_like", blocks=((1, 2), (3, 4))),
-        SourceSpec("graph", 4, "exponential", edges=((1, 2), (1, 3), (1, 4))),
+        SourceSpec("graph", 4, edges=((1, 2), (1, 3), (1, 4))),
     ]
     for spec in specs:
         back = source_spec_from_json(source_spec_to_json(spec))
@@ -239,3 +239,12 @@ def test_source_spec_validation():
         SourceSpec("graph", 3)
     with pytest.raises(ValueError, match="no blocks"):
         SourceSpec("independent", 3, blocks=((1, 2, 3),))
+    with pytest.raises(TypeError, match="no dist"):
+        SourceSpec("graph", 3, "uniform", edges=((1, 2), (1, 3)))
+
+
+def test_source_spec_json_names_a_law_only_when_one_is_used():
+    assert "dist" not in source_spec_to_json(SourceSpec("graph", 3, edges=((1, 2), (1, 3))))
+    assert source_spec_from_json({"kind": "graph", "d": 3, "edges": [[1, 2], [1, 3]]}).dist is None
+    omitted = source_spec_from_json({"kind": "partitioned", "d": 4, "blocks": [[1, 2], [3, 4]]})
+    assert source_spec_to_json(omitted)["dist"] == "uniform"

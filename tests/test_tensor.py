@@ -1,6 +1,7 @@
 import itertools
 import math
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from pica.tensor import (
     SymmetricTensor,
     _colex_ranks,
+    _dense_rank_array,
     canonical_indices,
     canonical_rank,
     hessian_eval,
@@ -58,6 +60,24 @@ def test_rank_matches_colex_enumeration():
         for pos, idx in enumerate(colex_tuples(d, r)):
             assert canonical_rank(idx) == pos
         np.testing.assert_array_equal(_colex_ranks(canonical_indices(d, r)), np.arange(num_entries(d, r)))
+
+
+def test_dense_rank_array_matches_per_position_rank():
+    for d, r in [(1, 3), (3, 1), (2, 8), (4, 3), (5, 4), (300, 2)]:
+        position = {idx: pos for pos, idx in enumerate(colex_tuples(d, r))}
+        want = [position[tuple(sorted(p))] for p in itertools.product(range(1, d + 1), repeat=r)]
+        np.testing.assert_array_equal(_dense_rank_array(d, r), want)
+
+
+@pytest.mark.parametrize("d, r", [(30, 4), (6, 8)])
+def test_cold_dense_rank_array_peaks_below_four_cube_copies(d, r):
+    tracemalloc.start()
+    try:
+        ranks = _dense_rank_array.__wrapped__(d, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ranks.dtype == np.int64 and peak < 4 * ranks.nbytes
 
 
 def test_unique_entry_count():
