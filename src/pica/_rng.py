@@ -3,7 +3,8 @@
 All randomness in this package flows from integer seeds through
 :func:`substream`.  A substream is identified by the master seed plus a
 path of integers or strings, hashed into a ``SeedSequence`` spawn key, so
-parallel and serial execution orders produce bit-identical draws.
+each recovery restart draws its start from its own substream: a start
+depends neither on the stack of restarts it descends in nor on ``restarts``.
 """
 
 from __future__ import annotations

@@ -10,7 +10,10 @@ samples, and a rotation is only accepted when it lowers the objective,
 so sweeps are monotone.  Restarts guard against local minima.  Restart 0
 starts from the ICA solution, the descent on the diagonal pattern, with
 its rows reordered into the target's blocks by their exact target energy;
-the rest start at Haar draws.
+the rest start at Haar draws.  The restarts descend in lockstep, as one
+stack of cubes of at most MAX_DENSE_ENTRIES entries, so each plane costs
+one search for the whole stack; each restart's result is bit for bit that
+of its own descent.
 
 Failure is a report, not an exception: some configurations are provably
 not identifiable, and the coset residual of the verification step is the
@@ -67,7 +70,7 @@ _SIGNED_PERMUTATION_TOL = 0.05
 
 
 class DescentError(RuntimeError):
-    """A Givens sweep raised the objective it is built never to raise."""
+    """A Givens sweep raised the objective it is built never to raise; the message names the restart."""
 
 
 @dataclass(frozen=True)
@@ -108,20 +111,15 @@ def _dense_energy(dense: np.ndarray, mask: np.ndarray) -> float:
     return float(np.sum(dense[mask] ** 2))
 
 
-def _apply_plane(dense: np.ndarray, i: int, j: int, c: float, s: float) -> np.ndarray:
-    """Rotate coordinates (i, j) in every mode of the dense tensor."""
-    out = dense.copy()
-    order = dense.ndim
-    for axis in range(order):
-        ti = np.take(out, i, axis=axis)
-        tj = np.take(out, j, axis=axis)
-        sel_i = [slice(None)] * order
-        sel_j = [slice(None)] * order
-        sel_i[axis] = i
-        sel_j[axis] = j
-        out[tuple(sel_i)] = c * ti - s * tj
-        out[tuple(sel_j)] = s * ti + c * tj
-    return out
+def _apply_plane(stack: np.ndarray, i: int, j: int, c: np.ndarray, s: np.ndarray) -> None:
+    """Rotate coordinates (i, j) in every mode of each cube of the stack, in place, by that cube's (c, s)."""
+    order = stack.ndim
+    c, s = (np.reshape(v, (-1,) + (1,) * (order - 2)) for v in (c, s))
+    for axis in range(1, order):
+        ti, tj = np.take(stack, i, axis=axis), np.take(stack, j, axis=axis)
+        head = (slice(None),) * axis
+        stack[head + (i,)] = c * ti - s * tj
+        stack[head + (j,)] = s * ti + c * tj
 
 
 @lru_cache(maxsize=None)
@@ -139,94 +137,126 @@ def _sample_powers(r: int) -> tuple[np.ndarray, ...]:
     return tuple(powers)
 
 
-def _plane_energies(dense: np.ndarray, mask: np.ndarray, i: int, j: int, powers) -> np.ndarray:
-    """Energy after each plane-(i, j) rotation of ``powers``, less the part no such rotation moves.
+def _plane_energies(stack: np.ndarray, mask: np.ndarray, i: int, j: int, powers) -> np.ndarray:
+    """Energy of each cube after each plane-(i, j) rotation of ``powers``, less the part no such rotation moves.
 
     Only entries with an index in {i, j} move.  By the symmetry of the cube
     and the mask, those with exactly m such positions split into C(r, m)
     blocks of equal energy, so one block per m, with its first m indices in
-    {i, j} and the rest outside, stands for all of them.
+    {i, j} and the rest outside, stands for all of them.  Returns one row
+    of samples per cube.
     """
-    d, r = dense.shape[0], dense.ndim
+    b, d, r = len(stack), stack.shape[1], stack.ndim - 1
     pair = [i, j]
     rest = [k for k in range(d) if k != i and k != j]
-    energies = np.zeros(len(powers[0]))
+    energies = np.zeros((b, len(powers[0])))
     for m in range(1 if rest else r, r + 1):
         sel = np.ix_(*[pair] * m, *[rest] * (r - m))
-        rotated = powers[m - 1] @ dense[sel].reshape(2**m, -1)
+        rotated = powers[m - 1] @ stack[(slice(None), *sel)].reshape(b, 1, 2**m, -1)
         np.square(rotated, out=rotated)
-        energies += math.comb(r, m) * (rotated.reshape(len(energies), -1) @ mask[sel].ravel())
+        energies += math.comb(r, m) * (rotated.reshape(b, len(powers[0]), -1) @ mask[sel].ravel())
     return energies
 
 
-def _minimize_plane(dense: np.ndarray, mask: np.ndarray, i: int, j: int) -> float:
-    """Angle of the exact energy minimum in plane (i, j); 0.0 unless it lowers the energy.
+def _minimize_plane(stack: np.ndarray, mask: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Angle of the exact energy minimum in plane (i, j) for each cube; 0.0 where it would not lower the energy.
 
     Every entry of the rotated order-r tensor is a form of degree r in
     (cos t, sin t), so the energy is f(t) = sum_{k=0..r} Re(c_k e^{2ikt}):
     pi-periodic and fixed by 2r+1 equispaced samples on [0, pi).  Its
     minimum is at a root of z^r f'(z), z = e^{2it}; the sample angles stay
     candidates because a flat plane has no roots.  Samples omit the energy
-    of entries without an index in {i, j}, a constant of the plane.
+    of entries without an index in {i, j}, a constant of the plane.  The
+    roots come from the companion matrices that ``np.roots`` builds, all
+    at once; a cube whose leading coefficient is 0 keeps ``np.roots``,
+    which lowers the degree.
     """
-    r = dense.ndim
+    r = stack.ndim - 1
     n = 2 * r + 1
     angles = math.pi * np.arange(n) / n
-    samples = _plane_energies(dense, mask, i, j, _sample_powers(r))
+    samples = _plane_energies(stack, mask, i, j, _sample_powers(r))
     c = np.fft.rfft(samples) / n
     k = np.arange(r + 1)
     weights = np.where(k == 0, 1.0, 2.0) * c
 
-    def energy(t):
-        return np.real(np.exp(2j * np.multiply.outer(t, k)) @ weights)
+    def energy(t, w):
+        return np.real(np.exp(2j * np.multiply.outer(t, k)) @ w)
 
     kc = k * c
-    critical = np.angle(np.roots(np.concatenate([kc[::-1], -np.conj(kc[1:])]))) / 2
-    # the samples are direct evaluations; the series is needed only between them
-    candidates = np.concatenate([angles, critical])
-    values = np.concatenate([samples, energy(critical)])
-    best = int(np.argmin(values))
-    theta, value = float(candidates[best]), float(values[best])
-    if theta > math.pi / 2:
-        theta -= math.pi
+    poly = np.concatenate([kc[:, ::-1], -np.conj(kc[:, 1:])], axis=1)
+    full = np.flatnonzero(poly[:, 0])
+    companion = np.zeros((len(full), 2 * r, 2 * r), complex)
+    companion[:, 1:, :-1] = np.eye(2 * r - 1)
+    companion[:, 0, :] = -poly[full, 1:] / poly[full, :1]
+    critical = np.angle(np.linalg.eigvals(companion)) / 2
+    # the samples are direct evaluations; the series is needed only between them,
+    # by a gemv per cube and a dot per tie-back, the products a cube gets alone
+    values = np.concatenate([samples[full], energy(critical, weights[full, :, None])[..., 0]], axis=1)
+    candidates = np.concatenate([np.broadcast_to(angles, (len(full), n)), critical], axis=1)
+    rows, best = np.arange(len(full)), np.argmin(values, axis=1)
+    theta, value = np.empty((2, len(stack)))
+    theta[full], value[full] = candidates[rows, best], values[rows, best]
+    for row in np.flatnonzero(poly[:, 0] == 0):
+        flat = np.angle(np.roots(poly[row])) / 2
+        row_values = np.concatenate([samples[row], energy(flat, weights[row])])
+        best_row = int(np.argmin(row_values))
+        theta[row], value[row] = np.concatenate([angles, flat])[best_row], row_values[best_row]
+    theta[theta > math.pi / 2] -= math.pi
     # A quarter turn that ties is a coordinate swap (within rounding); take the
     # smaller rotation, as cyclic Jacobi does, or diagonal patterns keep swapping.
-    if not -math.pi / 4 < theta <= math.pi / 4:
-        back = theta - math.copysign(math.pi / 2, theta)
-        back_value = float(energy(back))
-        if back_value <= value + 1e-12 * (1.0 + abs(value)):
-            theta, value = back, back_value
-    return theta if value < samples[0] else 0.0
+    wide = np.flatnonzero(~((-math.pi / 4 < theta) & (theta <= math.pi / 4)))
+    back = theta[wide] - np.copysign(math.pi / 2, theta[wide])
+    back_value = energy(back[:, None], weights[wide, :, None])[:, 0, 0]
+    tie = back_value <= value[wide] + 1e-12 * (1.0 + np.abs(value[wide]))
+    theta[wide[tie]], value[wide[tie]] = back[tie], back_value[tie]
+    return np.where(value < samples[:, 0], theta, 0.0)
 
 
 def _descend(
     dense0: np.ndarray,
     mask: np.ndarray,
-    q0: np.ndarray,
+    starts: list[tuple[int, np.ndarray]],
     opts: RecoveryOptions,
-) -> tuple[np.ndarray, float, int]:
-    """Cyclic Givens descent from one starting rotation."""
+) -> list[tuple[np.ndarray, float, int]]:
+    """Cyclic Givens descent from each (restart, rotation) start, in lockstep on one stack of cubes.
+
+    Each restart keeps its own sweep count, monotone check and stop, and
+    leaves the stack when it stops.  Every stacked operation gives a cube
+    the arithmetic it gets alone, so each result is that of its own descent.
+    """
     d = dense0.shape[0]
-    q = q0.copy()
-    dense = _transform_modewise(q, dense0)
-    previous = _dense_energy(dense, mask)
-    sweeps = 0
-    for _ in range(opts.max_sweeps):
-        sweeps += 1
+    q = np.array([q0 for _, q0 in starts], dtype=float)
+    stack = np.empty((len(q),) + dense0.shape)
+    for cube, q0 in zip(stack, q):
+        cube[...] = _transform_modewise(q0, dense0)
+    previous = [_dense_energy(cube, mask) for cube in stack]
+    results = [(q0, energy, 0) for q0, energy in zip(q, previous)]
+    live = np.arange(len(q))
+    for sweep in range(1, opts.max_sweeps + 1):
         for i in range(d - 1):
             for j in range(i + 1, d):
-                theta = _minimize_plane(dense, mask, i, j)
-                if theta != 0.0:
-                    c, s = math.cos(theta), math.sin(theta)
-                    dense = _apply_plane(dense, i, j, c, s)
-                    q[[i, j]] = c * q[i] - s * q[j], s * q[i] + c * q[j]
-        energy = _dense_energy(dense, mask)
-        if energy > previous + 1e-12 * (1.0 + previous):
-            raise DescentError(f"objective increased within a sweep: {previous} -> {energy}")
-        if previous - energy < _SWEEP_TOL:
+                theta = _minimize_plane(stack, mask, i, j)
+                if theta.any():
+                    # a still cube turns by c = 1, s = 0, which is exact; its rotation is not touched
+                    c, s = np.array([(math.cos(t), math.sin(t)) for t in theta]).T
+                    _apply_plane(stack, i, j, c, s)
+                    m = theta != 0.0
+                    c, s, qi, qj = c[m, None], s[m, None], q[m, i], q[m, j]
+                    q[m, i], q[m, j] = c * qi - s * qj, s * qi + c * qj
+        keep = []
+        for b, k in enumerate(live):
+            energy, was = _dense_energy(stack[b], mask), previous[k]
+            if energy > was + 1e-12 * (1.0 + was):
+                raise DescentError(f"restart {starts[k][0]}: objective increased within a sweep: {was} -> {energy}")
+            results[k] = (q[b], energy, sweep)
+            if was - energy >= _SWEEP_TOL:
+                previous[k] = energy
+                keep.append(b)
+        if not keep:
             break
-        previous = energy
-    return q, _dense_energy(dense, mask), sweeps
+        if len(keep) < len(live):
+            live, stack, q = live[keep], stack[keep], q[keep]
+    return results
 
 
 def _regroup(dense: np.ndarray, mask: np.ndarray) -> list[int]:
@@ -267,7 +297,7 @@ def _regroup(dense: np.ndarray, mask: np.ndarray) -> list[int]:
 def _run_restarts(
     dense0: np.ndarray, mask: np.ndarray, opts: RecoveryOptions
 ) -> list[tuple[np.ndarray, float, int]]:
-    """Seeded restarts of the descent, run one after another.
+    """Seeded restarts of the descent, in stacks of at most MAX_DENSE_ENTRIES entries.
 
     Restart 0 starts from the ICA solution: the descent on the diagonal
     pattern from the identity, with its rows reordered by ``_regroup`` to
@@ -276,15 +306,22 @@ def _run_restarts(
     needs no signs, as the energy does not see them.  Its sweep count
     includes the diagonal descent's.  Restart k >= 1 starts at a Haar
     draw from its own substream of ``opts.seed``, a fallback where that
-    principle fails.
+    principle fails.  The starts descend in order, as many at once as the
+    budget holds cubes, at least one; each result is the same whatever
+    stack it runs in.
     """
     d, r = dense0.shape[0], dense0.ndim
-    q_ica, _, ica_sweeps = _descend(dense0, diagonal_pattern(d, r).dense_zero_mask(), np.eye(d), opts)
-    starts = [q_ica[_regroup(_transform_modewise(q_ica, dense0), mask)]] + [
-        random_orthogonal(d, substream(opts.seed, "restart", restart))
-        for restart in range(1, opts.restarts)
-    ]
-    results = [_descend(dense0, mask, q0, opts) for q0 in starts]
+    [(q_ica, _, ica_sweeps)] = _descend(dense0, diagonal_pattern(d, r).dense_zero_mask(), [(0, np.eye(d))], opts)
+    starts = list(
+        enumerate(
+            [q_ica[_regroup(_transform_modewise(q_ica, dense0), mask)]]
+            + [random_orthogonal(d, substream(opts.seed, "restart", restart)) for restart in range(1, opts.restarts)]
+        )
+    )
+    per = max(1, MAX_DENSE_ENTRIES // dense0.size)
+    results = []
+    for first in range(0, len(starts), per):
+        results += _descend(dense0, mask, starts[first : first + per], opts)
     q, energy, sweeps = results[0]
     results[0] = (q, energy, ica_sweeps + sweeps)
     return results

@@ -257,11 +257,18 @@ def plane_problems(draw):
     return dense, pattern.dense_zero_mask(), i, j
 
 
+def _rotated(dense, i, j, theta):
+    """A copy of the cube rotated by theta in plane (i, j), through a stack of one."""
+    stack = dense[None].copy()
+    _apply_plane(stack, i, j, np.array([math.cos(theta)]), np.array([math.sin(theta)]))
+    return stack[0]
+
+
 def _cross_block_problem():
     # a plane across blocks is only pi-periodic: the minimum at -1.2 lies
     # outside [-pi/4, pi/4] and has no copy a quarter turn away
     pattern = pattern_from_partition(PartitionSpec(4, ((1, 2), (3, 4))), 4)
-    dense = _apply_plane(generic_sample(pattern, rng=0).to_dense(), 0, 2, math.cos(1.2), math.sin(1.2))
+    dense = _rotated(generic_sample(pattern, rng=0).to_dense(), 0, 2, 1.2)
     return dense, pattern.dense_zero_mask(), 0, 2
 
 
@@ -272,11 +279,11 @@ def test_plane_search_finds_the_minimum_over_a_full_period(problem):
     dense, mask, i, j = problem
 
     def energy(theta):
-        return _dense_energy(_apply_plane(dense, i, j, math.cos(theta), math.sin(theta)), mask)
+        return _dense_energy(_rotated(dense, i, j, theta), mask)
 
     # rounding of the energies, relative to the tensor's squared norm
     tol = 1e-12 * float(np.sum(dense**2))
-    found = energy(_minimize_plane(dense, mask, i, j))
+    found = energy(_minimize_plane(dense[None], mask, i, j)[0])
     grid = np.linspace(-math.pi / 2, math.pi / 2, 360, endpoint=False)
     assert found <= min(energy(t) for t in grid) + tol
     assert found <= energy(0.0) + tol
@@ -310,9 +317,9 @@ def test_block_samples_match_rotating_the_whole_cube(problem):
     dense, mask, i, j = problem
     n = 2 * dense.ndim + 1
     whole = np.array(
-        [_dense_energy(_apply_plane(dense, i, j, math.cos(t), math.sin(t)), mask) for t in math.pi * np.arange(n) / n]
+        [_dense_energy(_rotated(dense, i, j, t), mask) for t in math.pi * np.arange(n) / n]
     )
-    blocks = _plane_energies(dense, mask, i, j, _sample_powers(dense.ndim))
+    blocks = _plane_energies(dense[None], mask, i, j, _sample_powers(dense.ndim))[0]
     # the blocks leave out the entries no plane-(i, j) rotation moves: compare changes from t = 0
     np.testing.assert_allclose(blocks - blocks[0], whole - whole[0], rtol=0, atol=1e-12 * (1 + np.max(whole)))
 
@@ -321,15 +328,92 @@ def test_plane_search_allocates_less_than_one_cube():
     pattern = diagonal_pattern(30, 4)
     dense = multilinear_transform(random_orthogonal(30, 0), generic_sample(pattern, rng=0)).to_dense()
     mask = pattern.dense_zero_mask()
-    _minimize_plane(dense, mask, 0, 1)  # the rotation powers are cached once per order
-    tracemalloc.start()
-    try:
-        _minimize_plane(dense, mask, 3, 17)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # only the blocks with an index in {i, j} are gathered, never a copy of the cube
-    assert peak < dense.nbytes
+    # a stack of one, then a stack of three cubes
+    for stack in (dense[None], np.stack([dense, dense[::-1, ::-1, ::-1, ::-1], -dense])):
+        _minimize_plane(stack, mask, 0, 1)  # the rotation powers are cached once per order
+        tracemalloc.start()
+        try:
+            _minimize_plane(stack, mask, 3, 17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # only the blocks with an index in {i, j} are gathered, never a copy of a cube
+        assert peak < stack.nbytes
+
+
+def _population_diagonal_problem():
+    # coordinates 1 and 2 carry no cumulant, so from the identity the first
+    # plane, (1, 2), is all zeros: its leading coefficient is exactly 0
+    dense = tensor_from_entries(4, 4, [((3, 3, 3, 3), 1.0), ((4, 4, 4, 4), -2.0)]).to_dense()
+    return dense, diagonal_pattern(4, 4).dense_zero_mask(), 0, 1
+
+
+def _bytes(result):
+    q, energy, sweeps = result
+    return q.tobytes(), np.float64(energy).tobytes(), sweeps
+
+
+@settings(max_examples=25, deadline=None)
+@given(block_problems(), st.integers(0, 2**16))
+@example(_population_diagonal_problem(), 0)
+def test_stacked_descent_gives_each_restart_its_own_descent(problem, seed):
+    dense, mask, _, _ = problem
+    d = len(dense)
+    starts = list(enumerate([np.eye(d)] + [random_orthogonal(d, seed + k) for k in range(3)]))
+    stacked = recovery._descend(dense, mask, starts, RecoveryOptions())
+    for start, result in zip(starts, stacked):
+        [alone] = recovery._descend(dense, mask, [start], RecoveryOptions())
+        assert _bytes(result) == _bytes(alone)
+
+
+def test_flat_planes_keep_np_roots_inside_a_stack(monkeypatch):
+    dense, mask, _, _ = _population_diagonal_problem()
+    polynomials = []
+    roots = np.roots
+    monkeypatch.setattr(np, "roots", lambda p: polynomials.append(p) or roots(p))
+    starts = list(enumerate([np.eye(4), random_orthogonal(4, 1), random_orthogonal(4, 2)]))
+    results = recovery._descend(dense, mask, starts, RecoveryOptions())
+    assert polynomials and not np.any(polynomials[0])
+    # the identity stops after one sweep and leaves the stack; the others go on
+    assert results[0][2] == 1 and min(sweeps for _, _, sweeps in results[1:]) > 1
+
+
+def test_fewer_restarts_are_the_first_results_of_more():
+    pattern = pattern_from_partition(PartitionSpec(4, ((1, 2), (3, 4))), 4)
+    tensor = multilinear_transform(random_orthogonal(4, 3), generic_sample(pattern, rng=3))
+    three = minimize_off_pattern(tensor, pattern, RecoveryOptions(restarts=3, seed=5))
+    eight = minimize_off_pattern(tensor, pattern, RecoveryOptions(restarts=8, seed=5))
+    assert [(q.tobytes(), e) for q, e in three] == [(q.tobytes(), e) for q, e in eight[:3]]
+
+
+def test_stacks_hold_at_most_the_dense_budget(monkeypatch):
+    # a diagonal mask: _regroup, which reads the same budget, keeps the identity on either path
+    pattern = diagonal_pattern(4, 4)
+    tensor = multilinear_transform(random_orthogonal(4, 1), generic_sample(pattern, rng=1))
+    opts = RecoveryOptions(restarts=8, seed=2)
+    whole = minimize_off_pattern(tensor, pattern, opts)
+    sizes = []
+    minimize = recovery._minimize_plane
+
+    def recording(stack, *args):
+        sizes.append(len(stack))
+        return minimize(stack, *args)
+
+    monkeypatch.setattr(recovery, "_minimize_plane", recording)
+    monkeypatch.setattr(recovery, "MAX_DENSE_ENTRIES", 2 * 4**4)
+    split = minimize_off_pattern(tensor, pattern, opts)
+    assert max(sizes) == 2
+    assert [(q.tobytes(), e) for q, e in split] == [(q.tobytes(), e) for q, e in whole]
+
+
+def test_descent_error_names_its_restart(monkeypatch):
+    # every cube starts at a member; only the middle one turns, and any turn raises the energy
+    pattern = diagonal_pattern(3, 4)
+    dense = generic_sample(pattern, rng=0).to_dense()
+    monkeypatch.setattr(recovery, "_minimize_plane", lambda stack, mask, i, j: np.array([0.0, 0.3, 0.0]))
+    starts = [(3, np.eye(3)), (4, np.eye(3)), (5, np.eye(3))]
+    with pytest.raises(recovery.DescentError, match=r"^restart 4: objective increased within a sweep: 0\.0 -> "):
+        recovery._descend(dense, pattern.dense_zero_mask(), starts, RecoveryOptions())
 
 
 @pytest.mark.parametrize(
