@@ -51,22 +51,26 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate sources from a spec JSON")
+    p.set_defaults(handler=_cmd_simulate)
     p.add_argument("--spec", required=True, help="SourceSpec JSON path")
     p.add_argument("--n", required=True, type=int, help="number of samples")
     p.add_argument("--seed", required=True, type=int)
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("cumulants", help="sample cumulant tensor from CSV data")
+    p.set_defaults(handler=_cmd_cumulants)
     p.add_argument("--in", dest="infile", required=True, help="input CSV path")
     p.add_argument("--order", required=True, type=int)
     p.add_argument("--out", required=True, help="output tensor JSON path")
 
     p = sub.add_parser("check", help="pattern membership verdict for a tensor")
+    p.set_defaults(handler=_cmd_check)
     p.add_argument("--tensor", required=True, help="tensor JSON path")
     p.add_argument("--pattern", required=True, help="pattern JSON path")
     p.add_argument("--tol", type=_tolerance, default=patterns.POPULATION_TOL)
 
     p = sub.add_parser("recover", help="estimate the unmixing matrix")
+    p.set_defaults(handler=_cmd_recover)
     p.add_argument("--in", dest="infile", required=True, help="input CSV path")
     p.add_argument("--pattern", required=True, help="pattern JSON path")
     p.add_argument("--order", type=int, default=4)
@@ -75,12 +79,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output report JSON path")
 
     p = sub.add_parser("verify", help="coset residual of a recovery vs ground truth")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("--report", required=True, help="recovery report JSON path")
     p.add_argument("--truth", required=True, help="true mixing matrix JSON path")
     p.add_argument("--blocks", required=True, help="block sizes, e.g. 2,2")
     p.add_argument("--threshold", type=_tolerance, default=0.1)
 
     p = sub.add_parser("probe", help="graph-automorphism conjecture probe")
+    p.set_defaults(handler=_cmd_probe)
     p.add_argument("--graph", required=True, help="graph JSON path: {d, edges}")
     p.add_argument("--order", type=int, default=3)
     p.add_argument("--trials", type=int, default=50)
@@ -160,16 +166,6 @@ def _cmd_probe(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "cumulants": _cmd_cumulants,
-    "check": _cmd_check,
-    "recover": _cmd_recover,
-    "verify": _cmd_verify,
-    "probe": _cmd_probe,
-}
-
-
 def run(argv: list[str] | None = None) -> int:
     """Parse and execute; returns the process exit code."""
     parser = _build_parser()
@@ -180,7 +176,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits itself for --help
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"pica: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_IO

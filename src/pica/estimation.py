@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import bz2
 import gzip
-import itertools
 import lzma
 import os
 import warnings
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partitions import _check_conversion_budget, moments_to_cumulants
-from .tensor import SymmetricTensor, _check_shape, canonical_indices, num_entries
+from .tensor import SymmetricTensor, _check_shape, canonical_indices
 
 __all__ = [
     "DegenerateDataError",
@@ -71,9 +70,9 @@ def as_sample_matrix(x) -> np.ndarray:
 def sample_moments(x: np.ndarray, r: int) -> list[SymmetricTensor]:
     """Raw moment tensors of orders 1..r: entry (i_1..i_k) = mean of column products.
 
-    One depth-first walk: the r-tuples in lex order pass every shorter
-    non-decreasing tuple as a prefix, each once, and a tuple's product column
-    is its parent's times column i_k, kept in one preallocated row per depth.
+    One depth-first walk visits every non-decreasing tuple of length at most
+    r once, each length in lex order; a tuple's product column is its
+    parent's times column i_k, kept in one preallocated row per depth.
     Means are gathered in walk (lex) order; sorting the colex rows into lex
     order gives each its colex rank.
     """
@@ -82,26 +81,27 @@ def sample_moments(x: np.ndarray, r: int) -> list[SymmetricTensor]:
     _check_shape(r, d)
     cols = np.ascontiguousarray(x.T)
     # rows[k]: product column of the current (k+1)-prefix; order 1 reads a column of the copy
-    rows = [cols[0], *np.empty((r - 1, n))]
-    walked = [np.empty(num_entries(d, k)) for k in range(1, r + 1)]
-    filled = [0] * r
-    prev = (-1,) * r
-    for tup in itertools.combinations_with_replacement(range(d), r):
-        start = next(k for k in range(r) if tup[k] != prev[k])
-        for k in range(start, r):
-            if k == 0:
-                rows[0] = cols[tup[0]]
-            else:
-                np.multiply(rows[k - 1], cols[tup[k]], out=rows[k])
-            walked[k][filled[k]] = rows[k].mean()
-            filled[k] += 1
-        prev = tup
+    rows = [None, *np.empty((r - 1, n))]
+    walked = [[] for _ in range(r)]
+    _walk(cols, rows, walked, None, 0, 0)
     out = []
     for k, means in enumerate(walked, start=1):
-        vals = np.empty_like(means)
+        vals = np.empty(len(means))
         vals[np.lexsort(canonical_indices(d, k).T[::-1])] = means
         out.append(SymmetricTensor(k, d, vals))
     return out
+
+
+def _walk(cols, rows, walked, prefix, first, k):
+    """Append the means of the product columns below ``prefix``, depth first, to walked[k], walked[k + 1], ...
+
+    Not a closure: one that calls itself is a reference cycle, which keeps ``cols`` and ``rows`` alive until collected.
+    """
+    for v in range(first, len(cols)):
+        row = cols[v] if k == 0 else np.multiply(prefix, cols[v], out=rows[k])
+        walked[k].append(row.mean())
+        if k + 1 < len(walked):
+            _walk(cols, rows, walked, row, v, k + 1)
 
 
 def sample_moment(x: np.ndarray, r: int) -> SymmetricTensor:

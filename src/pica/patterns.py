@@ -99,16 +99,15 @@ class IndependenceGraph:
     dim: int
     edges: frozenset[tuple[int, int]]
 
-    def __init__(self, dim: int, edges):
+    def __post_init__(self):
         norm = set()
-        for u, v in edges:
+        for u, v in self.edges:
             u, v = int(u), int(v)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (1 <= u <= dim and 1 <= v <= dim):
-                raise ValueError(f"edge ({u},{v}) outside 1..{dim}")
+            if not (1 <= u <= self.dim and 1 <= v <= self.dim):
+                raise ValueError(f"edge ({u},{v}) outside 1..{self.dim}")
             norm.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "edges", frozenset(norm))
 
     def adjacency(self) -> np.ndarray:
@@ -130,22 +129,27 @@ class MembershipResult(NamedTuple):
         return self.member
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class ZeroPattern:
-    """Zero-constraint predicate over canonical indices, materialized."""
+    """Zero-constraint predicate over canonical indices, materialized.
 
-    __slots__ = ("kind", "order", "dim", "zero_mask", "meta")
+    ``zero_mask`` is stored read-only and ``meta`` as a copy.
+    """
 
-    def __init__(self, kind: str, order: int, dim: int, zero_mask: np.ndarray, meta: dict | None = None):
-        zero_mask = np.asarray(zero_mask, dtype=bool)
-        expected = num_entries(dim, order)
+    kind: str
+    order: int
+    dim: int
+    zero_mask: np.ndarray
+    meta: dict | None = None
+
+    def __post_init__(self):
+        zero_mask = np.asarray(self.zero_mask, dtype=bool)
+        expected = num_entries(self.dim, self.order)
         if zero_mask.shape != (expected,):
             raise ValueError(f"mask has shape {zero_mask.shape}, expected ({expected},)")
         zero_mask.flags.writeable = False
-        self.kind = kind
-        self.order = order
-        self.dim = dim
-        self.zero_mask = zero_mask
-        self.meta = dict(meta or {})
+        object.__setattr__(self, "zero_mask", zero_mask)
+        object.__setattr__(self, "meta", dict(self.meta or {}))
 
     def is_zero_constrained(self, index: Sequence[int]) -> bool:
         return bool(self.zero_mask[_index_rank(index, self.dim, self.order)])

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import ClassVar
 
@@ -461,19 +461,8 @@ def comon_pipeline(
 
 
 def report_to_json(report: RecoveryReport) -> dict:
-    return {
-        "unmixing": [list(map(float, row)) for row in report.unmixing],
-        "whitening": [list(map(float, row)) for row in report.whitening],
-        "rotation": [list(map(float, row)) for row in report.rotation],
-        "mean": list(map(float, report.mean)),
-        "objective": report.objective,
-        "objective_per_restart": report.objective_per_restart,
-        "best_restart": report.best_restart,
-        "sweeps_per_restart": report.sweeps_per_restart,
-        "order": report.order,
-        "pattern_kind": report.pattern_kind,
-        "extras": report.extras,
-    }
+    """Every field in declaration order; arrays become nested lists of floats."""
+    return {key: value.tolist() if isinstance(value, np.ndarray) else value for key, value in asdict(report).items()}
 
 
 def report_from_json(obj: dict) -> RecoveryReport:

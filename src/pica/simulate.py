@@ -15,7 +15,7 @@ Distribution tags (all standardized to mean 0, variance 1):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,27 +38,20 @@ __all__ = [
     "load_source_spec",
 ]
 
-DIST_TAGS = ("uniform", "laplace_like", "rademacher_mixture", "exponential", "gaussian")
+# One standardized column of n draws per tag, by population standardization
+# (closed forms); the operands of each expression draw left to right.
+_DRAWS = {
+    "uniform": lambda n, g: g.uniform(-np.sqrt(3.0), np.sqrt(3.0), n),
+    "laplace_like": lambda n, g: (g.exponential(1.0, n) - g.exponential(1.0, n)) / np.sqrt(2.0),
+    "rademacher_mixture": lambda n, g: g.choice([-1.0, 1.0], size=n)
+    * np.where(g.random(n) < 0.5, np.sqrt(0.5), np.sqrt(1.5)),
+    "exponential": lambda n, g: g.exponential(1.0, n) - 1.0,
+    "gaussian": lambda n, g: g.standard_normal(n),
+}
+DIST_TAGS = tuple(_DRAWS)
 
 # Strength of the odd within-block coupling in partitioned sources.
 _COUPLING = 0.3
-
-
-def _draw(tag: str, n: int, g: np.random.Generator) -> np.ndarray:
-    """One standardized column; population standardization (closed forms)."""
-    if tag == "uniform":
-        return g.uniform(-np.sqrt(3.0), np.sqrt(3.0), n)
-    if tag == "laplace_like":
-        return (g.exponential(1.0, n) - g.exponential(1.0, n)) / np.sqrt(2.0)
-    if tag == "rademacher_mixture":
-        signs = g.choice([-1.0, 1.0], size=n)
-        mags = np.where(g.random(n) < 0.5, np.sqrt(0.5), np.sqrt(1.5))
-        return signs * mags
-    if tag == "exponential":
-        return g.exponential(1.0, n) - 1.0
-    if tag == "gaussian":
-        return g.standard_normal(n)
-    raise ValueError(f"unknown distribution tag {tag!r}; known: {DIST_TAGS}")
 
 
 def _resolve_dists(dist: str | list[str], d: int) -> list[str]:
@@ -87,7 +80,7 @@ def gen_independent_sources(
         raise ValueError("n and d must be positive")
     tags = _resolve_dists(dist, d)
     g = as_generator(rng)
-    return np.column_stack([_draw(tag, n, g) for tag in tags])
+    return np.column_stack([_DRAWS[tag](n, g) for tag in tags])
 
 
 def gen_partitioned_sources(
@@ -110,7 +103,7 @@ def gen_partitioned_sources(
     for members, g in zip(spec.blocks, streams):
         k = len(members)
         block_tags = [tags[i - 1] for i in members]
-        latents = np.column_stack([_draw(tag, n, g) for tag in block_tags])
+        latents = np.column_stack([_DRAWS[tag](n, g) for tag in block_tags])
         if k == 1:
             block = latents
         else:
@@ -168,13 +161,13 @@ def gen_graph_sources(n: int, graph: IndependenceGraph, rng: int | np.random.Gen
     g = as_generator(rng)
     d = graph.dim
     if _star_hub(graph):
-        leaves = np.column_stack([_draw("exponential", n, g) for _ in range(d - 1)])
+        leaves = np.column_stack([_DRAWS["exponential"](n, g) for _ in range(d - 1)])
         coeff = 1.0 / np.sqrt(d - 1)
-        hub = coeff * (leaves**3).sum(axis=1) + _draw("exponential", n, g)
+        hub = coeff * (leaves**3).sum(axis=1) + _DRAWS["exponential"](n, g)
         hub = (hub - hub.mean()) / hub.std()
         return np.column_stack([hub, leaves])
     if _chain(graph):
-        eps = np.column_stack([_draw("exponential", n, g) for _ in range(d + 1)])
+        eps = np.column_stack([_DRAWS["exponential"](n, g) for _ in range(d + 1)])
         return (eps[:, :-1] + eps[:, 1:]) / np.sqrt(2.0)
     spec = _complete_components(graph)
     if spec is not None:
@@ -236,10 +229,8 @@ def simulate(spec: SourceSpec, n: int, seed: int) -> np.ndarray:
 
 
 def source_spec_to_json(spec: SourceSpec) -> dict:
-    blocks = [list(b) for b in spec.blocks] if spec.blocks is not None else None
-    edges = [list(e) for e in spec.edges] if spec.edges is not None else None
-    obj = {"kind": spec.kind, "d": spec.dim, "dist": spec.dist, "blocks": blocks, "edges": edges}
-    return {key: value for key, value in obj.items() if value is not None}
+    """The fields that are set, in declaration order; ``dim`` goes by its JSON name ``d``."""
+    return {"d" if key == "dim" else key: value for key, value in asdict(spec).items() if value is not None}
 
 
 def source_spec_from_json(obj: dict) -> SourceSpec:

@@ -13,6 +13,7 @@ Indices are 1-based throughout, matching the JSON interchange format.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -139,31 +140,27 @@ def _dense_rank_array(dim: int, order: int) -> np.ndarray:
     return ranks
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class SymmetricTensor:
     """Immutable order-r symmetric tensor on R^d.
 
     ``values`` holds the unique entries in colex order of their canonical
-    indices; lookups accept any permutation of an index tuple.
+    indices, as a read-only float copy (zeros when omitted); lookups accept
+    any permutation of an index tuple.
     """
 
-    __slots__ = ("order", "dim", "values")
+    order: int
+    dim: int
+    values: np.ndarray | None = field(default=None, repr=False)
 
-    def __init__(self, order: int, dim: int, values: np.ndarray | None = None):
-        _check_shape(order, dim)
-        n = num_entries(dim, order)
-        if values is None:
-            vals = np.zeros(n)
-        else:
-            vals = np.array(values, dtype=float)
-            if vals.shape != (n,):
-                raise ValueError(f"expected {n} unique entries, got shape {vals.shape}")
+    def __post_init__(self):
+        _check_shape(self.order, self.dim)
+        n = num_entries(self.dim, self.order)
+        vals = np.zeros(n) if self.values is None else np.array(self.values, dtype=float)
+        if vals.shape != (n,):
+            raise ValueError(f"expected {n} unique entries, got shape {vals.shape}")
         vals.flags.writeable = False
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "values", vals)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymmetricTensor is immutable")
 
     def lookup(self, index: Sequence[int]) -> float:
         """Entry at ``index``; invariant under permutations of the tuple."""
@@ -206,9 +203,6 @@ class SymmetricTensor:
 
     def max_abs(self) -> float:
         return float(np.abs(self.values).max())
-
-    def __repr__(self) -> str:
-        return f"SymmetricTensor(order={self.order}, dim={self.dim})"
 
 
 def tensor_from_entries(

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 
@@ -57,6 +58,18 @@ def test_walk_matches_per_entry_reference_bit_for_bit(d, r, n, layout, seed):
     assert [m.order for m in moments] == list(range(1, r + 1))
     for k, m in enumerate(moments, start=1):
         assert np.array_equal(m.values, reference_moment(x, k)), (k, layout)
+
+
+def test_sample_moments_leave_no_reference_cycle():
+    # a cycle would hold the (n, d) column copy and the product rows until the collector runs
+    x = np.random.default_rng(0).standard_normal((1000, 3))
+    gc.collect()
+    gc.disable()
+    try:
+        sample_moments(x, 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_constant_rows_moment():

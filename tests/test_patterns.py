@@ -345,6 +345,16 @@ def test_composite_pattern_has_no_json():
         pattern_to_json(intersect_patterns(a, b))
 
 
+def test_zero_pattern_is_immutable():
+    p = pattern_from_partition(PartitionSpec(4, ((1, 2), (3, 4))), 3)
+    for name, value in (("dim", 5), ("kind", "diagonal"), ("meta", {})):
+        with pytest.raises(AttributeError):
+            setattr(p, name, value)
+    with pytest.raises(ValueError):
+        p.zero_mask[0] = not p.zero_mask[0]
+    assert (p.kind, p.dim, p.meta) == ("partition", 4, {"blocks": [[1, 2], [3, 4]]})
+
+
 def test_pattern_error_paths():
     with pytest.raises(ValueError, match="unknown pattern kind"):
         pattern_from_json({"kind": "weird", "order": 3, "dim": 2})

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from pica.patterns import (
     sample_membership_tol,
 )
 from pica.simulate import (
+    DIST_TAGS,
     SourceSpec,
     gen_graph_sources,
     gen_independent_sources,
@@ -76,6 +79,12 @@ def test_gaussian_restriction():
     with pytest.raises(ValueError, match="gaussian"):
         gen_independent_sources(100, 3, ["gaussian", "gaussian", "uniform"], 0)
     with pytest.raises(ValueError, match="unknown"):
+        gen_independent_sources(100, 1, "cauchy", 0)
+
+
+def test_dist_tags_keep_their_order():
+    assert DIST_TAGS == ("uniform", "laplace_like", "rademacher_mixture", "exponential", "gaussian")
+    with pytest.raises(ValueError, match=f"known: {re.escape(str(DIST_TAGS))}"):
         gen_independent_sources(100, 1, "cauchy", 0)
 
 
