@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
 
@@ -409,7 +409,8 @@ class ProbeReport:
         return not self.disagreements
 
     def to_json(self) -> dict:
-        return {**asdict(self), "conjecture_holds": self.conjecture_holds}
+        # the fields are already JSON values, so a shallow dict serializes as asdict's deep copy does
+        return {**vars(self), "conjecture_holds": self.conjecture_holds}
 
 
 def conjecture_probe(

@@ -4,13 +4,15 @@ The pipeline follows the classical reduction: center and whiten the data,
 then search the orthogonal group for the rotation making the order-r
 sample cumulant fit the zero pattern of the assumed independence
 structure.  The search is cyclic Givens coordinate descent: along one
-plane the objective is a trigonometric polynomial of known degree, so
-each plane angle is minimized exactly over a full period from a few
-samples, and a rotation is only accepted when it lowers the objective,
-so sweeps are monotone.  Restarts guard against local minima.  Restart 0
-starts from the ICA solution, the descent on the diagonal pattern, with
-its rows reordered into the target's blocks by their exact target energy;
-the rest start at Haar draws.  The restarts descend in lockstep, as one
+plane the objective is a trigonometric polynomial of known degree, fixed
+by a few samples, and with x = tan(angle), the substitution of Comon's
+pairwise sweeps (1994), its critical points are the real roots of a real
+polynomial, so each plane angle is minimized exactly over a full period;
+a rotation is only accepted when it lowers the objective, so sweeps are
+monotone.  Restarts guard against local minima.  Restart 0 starts from
+the ICA solution, the descent on the diagonal pattern, with its rows
+reordered into the target's blocks by their exact target energy; the rest
+start at Haar draws.  The restarts descend in lockstep, as one
 stack of cubes of at most MAX_DENSE_ENTRIES entries, so each plane costs
 one search for the whole stack; each restart's result is bit for bit that
 of its own descent.
@@ -137,78 +139,124 @@ def _sample_powers(r: int) -> tuple[np.ndarray, ...]:
     return tuple(powers)
 
 
+def _plane_positions(d: int, r: int, i: int, j: int) -> list[np.ndarray]:
+    """Read-only flat cube positions of each block of plane (i, j), m = 1..r (m = r alone at d = 2), in C order.
+
+    Block m holds the indices whose first m entries lie in {i, j} and whose others do not.
+    """
+    pair, rest = [i, j], [k for k in range(d) if k != i and k != j]
+    grids = [np.ix_(*[pair] * m, *[rest] * (r - m)) for m in range(1 if rest else r, r + 1)]
+    blocks = [np.ravel_multi_index(grid, (d,) * r).ravel() for grid in grids]
+    for block in blocks:
+        block.flags.writeable = False
+    return blocks
+
+
+@lru_cache(maxsize=4)
+def _plane_table(d: int, r: int) -> dict[tuple[int, int], list[np.ndarray]] | None:
+    """Every plane's ``_plane_positions``; None where together they exceed MAX_DENSE_ENTRIES positions."""
+    if math.comb(d, 2) * sum(map(len, _plane_positions(d, r, 0, 1))) > MAX_DENSE_ENTRIES:
+        return None
+    return {plane: _plane_positions(d, r, *plane) for plane in itertools.combinations(range(d), 2)}
+
+
 def _plane_energies(stack: np.ndarray, mask: np.ndarray, i: int, j: int, powers) -> np.ndarray:
     """Energy of each cube after each plane-(i, j) rotation of ``powers``, less the part no such rotation moves.
 
     Only entries with an index in {i, j} move.  By the symmetry of the cube
     and the mask, those with exactly m such positions split into C(r, m)
     blocks of equal energy, so one block per m, with its first m indices in
-    {i, j} and the rest outside, stands for all of them.  Returns one row
-    of samples per cube.
+    {i, j} and the rest outside, stands for all of them.  Their positions
+    come from ``_plane_table``, or are built per call where it holds none.
+    Returns one row of samples per cube.
     """
     b, d, r = len(stack), stack.shape[1], stack.ndim - 1
-    pair = [i, j]
-    rest = [k for k in range(d) if k != i and k != j]
-    energies = np.zeros((b, len(powers[0])))
-    for m in range(1 if rest else r, r + 1):
-        sel = np.ix_(*[pair] * m, *[rest] * (r - m))
-        rotated = powers[m - 1] @ stack[(slice(None), *sel)].reshape(b, 1, 2**m, -1)
+    table = _plane_table(d, r)
+    blocks = _plane_positions(d, r, i, j) if table is None else table[i, j]
+    flat, n = stack.reshape(b, -1), len(powers[0])
+    energies = np.zeros((b, n))
+    # the blocks run from m = 1, or m = r at d = 2, to m = r
+    for m, positions in enumerate(blocks, r + 1 - len(blocks)):
+        # the n rotations stacked as rows: one product per cube
+        rotated = powers[m - 1].reshape(-1, 2**m) @ np.take(flat, positions, axis=1).reshape(b, 2**m, -1)
         np.square(rotated, out=rotated)
-        energies += math.comb(r, m) * (rotated.reshape(b, len(powers[0]), -1) @ mask[sel].ravel())
+        energies += math.comb(r, m) * (rotated.reshape(b, n, -1) @ mask.reshape(-1)[positions])
     return energies
+
+
+@lru_cache(maxsize=None)
+def _tangent_maps(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fixed real maps from the 2r+1 samples of a plane energy to its tangent polynomial and its real series.
+
+    With w_k the Fourier weights of f(t) = sum_{k=0..r} Re(w_k e^{2ikt}),
+    from the ``rfft`` of the samples, ``samples @ maps[:, :2r+1]`` are the
+    coefficients, highest degree first, of the degree-2r polynomial
+    P(x) = sum_{k=1..r} k Im(w_k (1+ix)^{2k} (1+x^2)^{r-k}), which is
+    -f'(t) cos(t)^{-2r} / 2 at x = tan t; ``samples @ maps[:, 2r+1:]`` are
+    the a_q of f(t) = sum_q a_q cos(freq_q t - shift_q).
+    """
+    n = 2 * r + 1
+    w = np.fft.rfft(np.eye(n), axis=1) / n
+    w[:, 1:] *= 2
+    k = np.arange(1, r + 1)
+    basis = []
+    for kth in k:
+        poly = np.ones(1)
+        for factor in [[1j, 1.0]] * (2 * kth) + [[1.0, 0.0, 1.0]] * (r - kth):
+            poly = np.convolve(poly, factor)
+        basis.append(poly)
+    maps = np.concatenate([np.imag(k * w[:, 1:] @ np.array(basis)), w.real, -w[:, 1:].imag], axis=1)
+    freq = 2.0 * np.concatenate([np.arange(r + 1), k])
+    shift = np.where(np.arange(n) > r, math.pi / 2, 0.0)
+    for a in (maps, freq, shift):
+        a.flags.writeable = False
+    return maps, freq, shift
 
 
 def _minimize_plane(stack: np.ndarray, mask: np.ndarray, i: int, j: int) -> np.ndarray:
     """Angle of the exact energy minimum in plane (i, j) for each cube; 0.0 where it would not lower the energy.
 
     Every entry of the rotated order-r tensor is a form of degree r in
-    (cos t, sin t), so the energy is f(t) = sum_{k=0..r} Re(c_k e^{2ikt}):
-    pi-periodic and fixed by 2r+1 equispaced samples on [0, pi).  Its
-    minimum is at a root of z^r f'(z), z = e^{2it}; the sample angles stay
-    candidates because a flat plane has no roots.  Samples omit the energy
-    of entries without an index in {i, j}, a constant of the plane.  The
-    roots come from the companion matrices that ``np.roots`` builds, all
-    at once; a cube whose leading coefficient is 0 keeps ``np.roots``,
-    which lowers the degree.
+    (cos t, sin t), so the energy is f(t) = sum_{k=0..r} Re(w_k e^{2ikt}):
+    pi-periodic and fixed by 2r+1 equispaced samples on [0, pi).  Samples
+    omit the energy of entries without an index in {i, j}, a constant of
+    the plane.  On (-pi/2, pi/2) the critical points of f are the real
+    roots x of the real degree-2r polynomial P of ``_tangent_maps``, at
+    t = arctan x, and P's leading coefficient is proportional to f'(pi/2),
+    so the candidates are arctan of the real part of each root, and pi/2;
+    a complex root only adds a candidate.  The roots are the eigenvalues of
+    P's real companion matrices, all cubes at once; a cube whose leading
+    coefficient is 0 keeps ``np.roots``, which lowers the degree.  Each cube
+    evaluates its candidates by the real series of its own samples.
     """
-    r = stack.ndim - 1
+    b, r = len(stack), stack.ndim - 1
     n = 2 * r + 1
-    angles = math.pi * np.arange(n) / n
+    maps, freq, shift = _tangent_maps(r)
     samples = _plane_energies(stack, mask, i, j, _sample_powers(r))
-    c = np.fft.rfft(samples) / n
-    k = np.arange(r + 1)
-    weights = np.where(k == 0, 1.0, 2.0) * c
-
-    def energy(t, w):
-        return np.real(np.exp(2j * np.multiply.outer(t, k)) @ w)
-
-    kc = k * c
-    poly = np.concatenate([kc[:, ::-1], -np.conj(kc[:, 1:])], axis=1)
-    full = np.flatnonzero(poly[:, 0])
-    companion = np.zeros((len(full), 2 * r, 2 * r), complex)
+    # an einsum, not a matmul over the stack, gives each cube the products it gets alone
+    coef = np.einsum("bs,sp->bp", samples, maps)
+    poly = coef[:, :n]
+    full = poly[:, 0] != 0
+    # candidate 0 is pi/2; a cube's unused candidates repeat it
+    angles = np.full((b, 2, n), math.pi / 2)
+    companion = np.zeros((np.count_nonzero(full), 2 * r, 2 * r))
     companion[:, 1:, :-1] = np.eye(2 * r - 1)
-    companion[:, 0, :] = -poly[full, 1:] / poly[full, :1]
-    critical = np.angle(np.linalg.eigvals(companion)) / 2
-    # the samples are direct evaluations; the series is needed only between them,
-    # by a gemv per cube and a dot per tie-back, the products a cube gets alone
-    values = np.concatenate([samples[full], energy(critical, weights[full, :, None])[..., 0]], axis=1)
-    candidates = np.concatenate([np.broadcast_to(angles, (len(full), n)), critical], axis=1)
-    rows, best = np.arange(len(full)), np.argmin(values, axis=1)
-    theta, value = np.empty((2, len(stack)))
-    theta[full], value[full] = candidates[rows, best], values[rows, best]
-    for row in np.flatnonzero(poly[:, 0] == 0):
-        flat = np.angle(np.roots(poly[row])) / 2
-        row_values = np.concatenate([samples[row], energy(flat, weights[row])])
-        best_row = int(np.argmin(row_values))
-        theta[row], value[row] = np.concatenate([angles, flat])[best_row], row_values[best_row]
-    theta[theta > math.pi / 2] -= math.pi
+    companion[:, 0] = -poly[full, 1:] / poly[full, :1]
+    angles[full, 0, 1:] = np.arctan(np.linalg.eigvals(companion).real)
+    for row in np.flatnonzero(~full):
+        roots = np.roots(poly[row])
+        angles[row, 0, 1 : 1 + len(roots)] = np.arctan(roots.real)
+    # row 1 holds each candidate a quarter turn back towards 0
+    angles[:, 1] = angles[:, 0] - np.copysign(math.pi / 2, angles[:, 0])
+    basis = np.cos(np.multiply.outer(angles.reshape(b, 2 * n), freq) - shift)
+    values = np.einsum("bcq,bq->bc", basis, coef[:, n:]).reshape(b, 2, n)
+    rows, best = np.arange(b), np.argmin(values[:, 0], axis=1)
+    (theta, back), (value, back_value) = angles[rows, :, best].T, values[rows, :, best].T
     # A quarter turn that ties is a coordinate swap (within rounding); take the
     # smaller rotation, as cyclic Jacobi does, or diagonal patterns keep swapping.
-    wide = np.flatnonzero(~((-math.pi / 4 < theta) & (theta <= math.pi / 4)))
-    back = theta[wide] - np.copysign(math.pi / 2, theta[wide])
-    back_value = energy(back[:, None], weights[wide, :, None])[:, 0, 0]
-    tie = back_value <= value[wide] + 1e-12 * (1.0 + np.abs(value[wide]))
-    theta[wide[tie]], value[wide[tie]] = back[tie], back_value[tie]
+    wide = ~((-math.pi / 4 < theta) & (theta <= math.pi / 4))
+    tie = wide & (back_value <= value + 1e-12 * (1.0 + np.abs(value)))
+    theta, value = np.where(tie, back, theta), np.where(tie, back_value, value)
     return np.where(value < samples[:, 0], theta, 0.0)
 
 
@@ -238,7 +286,7 @@ def _descend(
                 theta = _minimize_plane(stack, mask, i, j)
                 if theta.any():
                     # a still cube turns by c = 1, s = 0, which is exact; its rotation is not touched
-                    c, s = np.array([(math.cos(t), math.sin(t)) for t in theta]).T
+                    c, s = np.cos(theta), np.sin(theta)
                     _apply_plane(stack, i, j, c, s)
                     m = theta != 0.0
                     c, s, qi, qj = c[m, None], s[m, None], q[m, i], q[m, j]

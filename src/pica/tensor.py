@@ -140,6 +140,14 @@ def _dense_rank_array(dim: int, order: int) -> np.ndarray:
     return ranks
 
 
+@lru_cache(maxsize=16)
+def _canonical_flat_positions(dim: int, order: int) -> np.ndarray:
+    """Read-only flat d^r cube position of each canonical index tuple, in colex order."""
+    positions = np.ravel_multi_index(canonical_indices(dim, order).T - 1, (dim,) * order)
+    positions.flags.writeable = False
+    return positions
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class SymmetricTensor:
     """Immutable order-r symmetric tensor on R^d.
@@ -185,9 +193,7 @@ class SymmetricTensor:
         dim = dense.shape[0]
         if dense.shape != (dim,) * order:
             raise ValueError(f"dense array must be hypercubic, got {dense.shape}")
-        vals = np.ascontiguousarray(dense, dtype=float).reshape(-1)[
-            np.ravel_multi_index(canonical_indices(dim, order).T - 1, dense.shape)
-        ]
+        vals = np.ascontiguousarray(dense, dtype=float).reshape(-1)[_canonical_flat_positions(dim, order)]
         t = cls(order, dim, vals)
         if tol is not None:
             defect = np.abs(dense - t.to_dense()).max()

@@ -11,8 +11,9 @@ restarts that ran `max_sweeps` sweeps, the total sweeps, and a sha256 digest
 over each recovery's rotation, objectives per restart and sweeps per
 restart, in order (the last three over the recoveries that did not raise),
 so two versions of pica can be compared bit for bit.
-The exit code is 1 if any recovery failed.  The defaults give 1080
-recoveries; this is a script, not a pytest module.
+The exit code is 1 if any recovery failed or any restart ran `max_sweeps`
+sweeps, as a descent stalled by a change to the plane search would.  The
+defaults give 1080 recoveries; this is a script, not a pytest module.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def main(argv: list[str] | None = None) -> int:
         "sweeps": sweeps,
         "digest": sha.hexdigest(),
     }))
-    return 1 if failed else 0
+    return 1 if failed or max_sweep_hits else 0
 
 
 if __name__ == "__main__":

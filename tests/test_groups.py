@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -464,6 +466,17 @@ def test_conjecture_probe_matches_dense_transforms(kind, d, order, tol, monkeypa
     monkeypatch.setattr(groups, "_PROBE_MEMBERSHIP_TOL", tol)
     report = conjecture_probe(graph, order, trials=3, rng=d * order)
     assert report.to_json() == reference_probe(graph, order, 3, d * order, tol)
+
+
+def test_probe_report_json_is_the_deep_copy_json():
+    # tolerance 1.0 gives disagreements as well as per-matrix verdicts
+    graph = IndependenceGraph(4, PROBE_GRAPHS["star"](4))
+    for tol in (_PROBE_MEMBERSHIP_TOL, 1.0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(groups, "_PROBE_MEMBERSHIP_TOL", tol)
+            report = conjecture_probe(graph, 3, trials=20, rng=0)
+        deep = {**dataclasses.asdict(report), "conjecture_holds": report.conjecture_holds}
+        assert json.dumps(report.to_json(), indent=2) == json.dumps(deep, indent=2)
 
 
 def test_conjecture_probe_bounds():

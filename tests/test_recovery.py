@@ -35,6 +35,7 @@ from pica.recovery import (
     _dense_energy,
     _minimize_plane,
     _plane_energies,
+    _plane_table,
     _regroup,
     _sample_powers,
     comon_pipeline,
@@ -272,9 +273,19 @@ def _cross_block_problem():
     return dense, pattern.dense_zero_mask(), 0, 2
 
 
+def _swapped_member_problem():
+    # a member with coordinates 1 and 3 swapped: only a quarter turn in plane
+    # (1, 3) brings it back, so the minimum is at pi/2, a root of P at infinity
+    pattern = pattern_from_partition(PartitionSpec(4, ((1, 2), (3, 4))), 4)
+    order = [2, 1, 0, 3]
+    dense = generic_sample(pattern, rng=2).to_dense()[np.ix_(*[order] * 4)]
+    return dense, pattern.dense_zero_mask(), 0, 2
+
+
 @settings(max_examples=50, deadline=None)
 @given(plane_problems())
 @example(_cross_block_problem())
+@example(_swapped_member_problem())
 def test_plane_search_finds_the_minimum_over_a_full_period(problem):
     dense, mask, i, j = problem
 
@@ -322,6 +333,77 @@ def test_block_samples_match_rotating_the_whole_cube(problem):
     blocks = _plane_energies(dense[None], mask, i, j, _sample_powers(dense.ndim))[0]
     # the blocks leave out the entries no plane-(i, j) rotation moves: compare changes from t = 0
     np.testing.assert_allclose(blocks - blocks[0], whole - whole[0], rtol=0, atol=1e-12 * (1 + np.max(whole)))
+
+
+def complex_companion_minimize(stack, mask, i, j):
+    """The plane search by the roots of z^r f'(z), z = e^{2it}, on the complex companion matrices of ``np.roots``."""
+    r = stack.ndim - 1
+    n = 2 * r + 1
+    angles = math.pi * np.arange(n) / n
+    samples = _plane_energies(stack, mask, i, j, _sample_powers(r))
+    c = np.fft.rfft(samples) / n
+    k = np.arange(r + 1)
+    weights = np.where(k == 0, 1.0, 2.0) * c
+
+    def energy(t, w):
+        return np.real(np.exp(2j * np.multiply.outer(t, k)) @ w)
+
+    theta, value = np.empty((2, len(stack)))
+    for row in range(len(stack)):
+        poly = np.concatenate([(k * c[row])[::-1], -np.conj(k * c[row])[1:]])
+        critical = np.angle(np.roots(poly)) / 2
+        candidates = np.concatenate([angles, critical])
+        values = np.concatenate([samples[row], energy(critical, weights[row])])
+        best = int(np.argmin(values))
+        theta[row], value[row] = candidates[best], values[best]
+    theta[theta > math.pi / 2] -= math.pi
+    for row in np.flatnonzero(~((-math.pi / 4 < theta) & (theta <= math.pi / 4))):
+        back = theta[row] - math.copysign(math.pi / 2, theta[row])
+        back_value = energy(np.array([back]), weights[row])[0]
+        if back_value <= value[row] + 1e-12 * (1.0 + abs(value[row])):
+            theta[row], value[row] = back, back_value
+    return np.where(value < samples[:, 0], theta, 0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(block_problems())
+@example(_swapped_member_problem())
+def test_tangent_roots_find_the_complex_companion_minimum(problem):
+    dense, mask, i, j = problem
+
+    def energy(theta):
+        return _dense_energy(_rotated(dense, i, j, theta), mask)
+
+    found = energy(_minimize_plane(dense[None], mask, i, j)[0])
+    reference = energy(complex_companion_minimize(dense[None], mask, i, j)[0])
+    assert abs(found - reference) <= 1e-12 * (1.0 + abs(reference))
+
+
+def test_plane_table_holds_the_ix_gathers():
+    for d in range(2, 6):
+        for r in range(2, 7):
+            cube = np.arange(d**r).reshape((d,) * r)
+            table = _plane_table(d, r)
+            assert len(table) == math.comb(d, 2)
+            for (i, j), blocks in table.items():
+                pair, rest = [i, j], [k for k in range(d) if k not in (i, j)]
+                gathers = [cube[np.ix_(*[pair] * m, *[rest] * (r - m))].ravel() for m in range(1 if rest else r, r + 1)]
+                assert len(blocks) == len(gathers)
+                for positions, gather in zip(blocks, gathers):
+                    np.testing.assert_array_equal(positions, gather)
+                    assert not positions.flags.writeable
+
+
+def test_plane_table_is_bounded_by_the_dense_budget(monkeypatch):
+    assert _plane_table(30, 4) is None
+    # at d = 5, r = 3 each of the 10 planes has 2*9 + 4*3 + 8 = 38 positions
+    for budget, built in [(380, True), (379, False)]:
+        _plane_table.cache_clear()
+        monkeypatch.setattr(recovery, "MAX_DENSE_ENTRIES", budget)
+        table = _plane_table(5, 3)
+        assert (table is not None) == built
+        assert not built or sum(len(positions) for blocks in table.values() for positions in blocks) == budget
+    _plane_table.cache_clear()
 
 
 def test_plane_search_allocates_less_than_one_cube():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from pica.tensor import (
     SymmetricTensor,
+    _canonical_flat_positions,
     _colex_ranks,
     _dense_rank_array,
     canonical_indices,
@@ -78,6 +79,19 @@ def test_cold_dense_rank_array_peaks_below_four_cube_copies(d, r):
     finally:
         tracemalloc.stop()
     assert ranks.dtype == np.int64 and peak < 4 * ranks.nbytes
+
+
+def test_from_dense_round_trips_through_cached_flat_positions():
+    rng = np.random.default_rng(0)
+    for d in range(1, 6):
+        for r in range(1, 7):
+            positions = _canonical_flat_positions(d, r)
+            assert not positions.flags.writeable
+            with pytest.raises(ValueError):
+                positions[0] = 0
+            t = random_tensor(r, d, rng)
+            back = SymmetricTensor.from_dense(t.to_dense())
+            np.testing.assert_array_equal(back.values, t.values)
 
 
 def test_unique_entry_count():
