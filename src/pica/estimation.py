@@ -9,7 +9,8 @@ Moments of all orders come from one depth-first walk over the
 non-decreasing index tuples, each product column extending its parent's by
 one column.  That is the left-to-right product x_{i_1} x_{i_2} ... x_{i_k}
 with the same roundings as multiplying the columns one after another, and
-each mean is numpy's pairwise sum over one contiguous column.  Neither
+each mean is numpy's pairwise sum over one contiguous column divided by n,
+the bits of ``mean()``.  Neither
 depends on the walk order or on the input's memory layout, so results are
 bit-reproducible; a parallel or row-blocked implementation would need a
 fixed block schedule to keep that property.
@@ -73,8 +74,9 @@ def sample_moments(x: np.ndarray, r: int) -> list[SymmetricTensor]:
     One depth-first walk visits every non-decreasing tuple of length at most
     r once, each length in lex order; a tuple's product column is its
     parent's times column i_k, kept in one preallocated row per depth.
-    Means are gathered in walk (lex) order; sorting the colex rows into lex
-    order gives each its colex rank.
+    Column sums are gathered in walk (lex) order and each order is divided
+    by n at once; sorting the colex rows into lex order gives each its colex
+    rank.
     """
     x = as_sample_matrix(x)
     n, d = x.shape
@@ -85,21 +87,22 @@ def sample_moments(x: np.ndarray, r: int) -> list[SymmetricTensor]:
     walked = [[] for _ in range(r)]
     _walk(cols, rows, walked, None, 0, 0)
     out = []
-    for k, means in enumerate(walked, start=1):
-        vals = np.empty(len(means))
-        vals[np.lexsort(canonical_indices(d, k).T[::-1])] = means
+    for k, sums in enumerate(walked, start=1):
+        vals = np.empty(len(sums))
+        # the sums over n, as row.mean() divides them
+        vals[np.lexsort(canonical_indices(d, k).T[::-1])] = np.divide(sums, n)
         out.append(SymmetricTensor(k, d, vals))
     return out
 
 
 def _walk(cols, rows, walked, prefix, first, k):
-    """Append the means of the product columns below ``prefix``, depth first, to walked[k], walked[k + 1], ...
+    """Append the sums of the product columns below ``prefix``, depth first, to walked[k], walked[k + 1], ...
 
     Not a closure: one that calls itself is a reference cycle, which keeps ``cols`` and ``rows`` alive until collected.
     """
     for v in range(first, len(cols)):
         row = cols[v] if k == 0 else np.multiply(prefix, cols[v], out=rows[k])
-        walked[k].append(row.mean())
+        walked[k].append(np.add.reduce(row))
         if k + 1 < len(walked):
             _walk(cols, rows, walked, row, v, k + 1)
 

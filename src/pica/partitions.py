@@ -9,7 +9,12 @@ a partition that holds position 1 (McCullagh 1987):
 
 where i_B is the sub-tuple of i at the positions in B.  The term with B all
 k positions is kappa_k[i]; the other 2^(k-1) - 1 need only lower orders, so
-one loop solves for kappa_k or for mu_k.
+one pass per order solves for kappa_k or for mu_k: 247 products up to r = 8.
+Each order's products are formed for a block of index tuples at a time, all
+subsets B of each at once, from the colex ranks of every i_B and i_{B^c},
+and added in subset order.  A block holds at most _BLOCK_ENTRIES products,
+one tuple's at least, so a conversion never holds more than a fixed number
+of them, however large C(d+r-1, r) is.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensor import MAX_ORDER, SymmetricTensor, _colex_ranks, canonical_indices, num_entries
+from .tensor import MAX_ORDER, SymmetricTensor, _colex_columns, canonical_indices, num_entries
 
 __all__ = [
     "MAX_CONVERSION_ENTRIES",
@@ -29,8 +34,10 @@ __all__ = [
 ]
 
 # The order-r conversion gathers C(d+r-1, r) sub-tuple entries per non-empty position
-# subset of an r-tuple, holding O(C(d+r-1, r)) at a time; refuse more than this in all.
+# subset of an r-tuple; refuse more than this in all, before anything is built.
 MAX_CONVERSION_ENTRIES = 2**26
+# Products formed at a time: all 2^(k-1) - 1 of as many order-k tuples as fit, at least one.
+_BLOCK_ENTRIES = 2**16
 
 # Blocks ordered by minimum element, elements ascending inside a block.
 SetPartition = tuple[tuple[int, ...], ...]
@@ -81,21 +88,47 @@ def _check_conversion_budget(dim: int, order: int) -> None:
 
 
 def _convert(tensors: list[SymmetricTensor], sign: float) -> list[SymmetricTensor]:
-    """kappa from mu (sign -1) or mu from kappa (sign +1) by the first-block recursion."""
+    """kappa from mu (sign -1) or mu from kappa (sign +1) by the first-block recursion.
+
+    Each sequence is one flat array, orders 1..r in turn, so each order-k
+    product is one gather from each.  For a block of order-k tuples, the
+    ranks of the B and B^c sub-tuples of every subset are summed one
+    position at a time from ``_colex_columns``, picked by the position's
+    offset within its side.  The products are added in subset order from
+    zeros, as one ``+=`` per subset would: ``np.add.accumulate`` runs down
+    each block's columns below a row of zeros (never ``np.add.reduce``,
+    which sums a single column pairwise).
+    """
     r, dim = _check_sequence(tensors, "tensor")
     _check_conversion_budget(dim, r)
-    given = [t.values for t in tensors]
-    made: list[np.ndarray] = []
+    starts = np.cumsum([0] + [num_entries(dim, k) for k in range(1, r + 1)])
+    given = np.concatenate([t.values for t in tensors])
+    made = np.empty_like(given)
     kappa, mu = (made, given) if sign < 0 else (given, made)
+    # rows 0..r-2 rank offsets 0..r-2 within a side; row r-1, all zeros, stands for the other side
+    table = np.vstack([_colex_columns(dim, r - 1), np.zeros(dim + 1, dtype=np.int64)])
     for k in range(1, r + 1):
         idxs = canonical_indices(dim, k)
-        acc = np.zeros(len(idxs))
-        for rest in range(1, 2 ** (k - 1)):  # B^c as a bit set over positions 2..k
-            in_b = np.array([True] + [not rest >> p & 1 for p in range(k - 1)])
-            b, c = idxs[:, in_b], idxs[:, ~in_b]
-            acc += kappa[b.shape[1] - 1][_colex_ranks(b)] * mu[c.shape[1] - 1][_colex_ranks(c)]
-        made.append(given[k - 1] + sign * acc)
-    return [SymmetricTensor(k, dim, v) for k, v in enumerate(made, start=1)]
+        # subset s holds B^c as the bits of s + 1 over positions 2..k; side[0] marks B, side[1] B^c
+        in_c = np.zeros((2 ** (k - 1) - 1, k), dtype=bool)
+        in_c[:, 1:] = np.arange(1, 2 ** (k - 1))[:, None] >> np.arange(k - 1) & 1
+        side = np.stack([~in_c, in_c])
+        rows = np.where(side, np.cumsum(side, axis=2) - 1, r - 1)
+        # each side's sub-tuples are ranked within its order's stretch of the flat arrays
+        base = starts[side.sum(axis=2) - 1]
+        # each block takes every subset of as many tuples as fit, at least one
+        step = max(1, _BLOCK_ENTRIES // max(1, len(in_c)))
+        for lo in range(0, len(idxs), step):
+            block_idxs = idxs[lo : lo + step]
+            ranks = base[..., None] + table[:, block_idxs[:, 0]][rows[..., 0]]
+            for p in range(1, k):
+                ranks += table[:, block_idxs[:, p]][rows[..., p]]
+            # row 0 is the zero each sum starts from
+            block = np.zeros((len(in_c) + 1, len(block_idxs)))
+            np.multiply(kappa[ranks[0]], mu[ranks[1]], out=block[1:])
+            out = slice(starts[k - 1] + lo, starts[k - 1] + lo + len(block_idxs))
+            made[out] = given[out] + sign * np.add.accumulate(block, axis=0)[-1]
+    return [SymmetricTensor(k, dim, made[starts[k - 1] : starts[k]]) for k in range(1, r + 1)]
 
 
 def moments_to_cumulants(moments: list[SymmetricTensor]) -> list[SymmetricTensor]:

@@ -352,22 +352,23 @@ def _run_restarts(
     group its coordinates into the target's blocks (the separation
     principle of independent subspace analysis, Cardoso 1998); a reordering
     needs no signs, as the energy does not see them.  Its sweep count
-    includes the diagonal descent's.  Restart k >= 1 starts at a Haar
-    draw from its own substream of ``opts.seed``, a fallback where that
-    principle fails.  The starts descend in order, as many at once as the
-    budget holds cubes, at least one; each result is the same whatever
-    stack it runs in.
+    includes the diagonal descent's.  On a diagonal target the ICA solution
+    is restart 0's result: no reordering lowers that permutation-invariant
+    energy, and a second descent would only confirm it.  Restart k >= 1
+    starts at a Haar draw from its own substream of ``opts.seed``, a
+    fallback where that principle fails.  The starts descend in order, as
+    many at once as the budget holds cubes, at least one; each result is the
+    same whatever stack it runs in.
     """
     d, r = dense0.shape[0], dense0.ndim
-    [(q_ica, _, ica_sweeps)] = _descend(dense0, diagonal_pattern(d, r).dense_zero_mask(), [(0, np.eye(d))], opts)
-    starts = list(
-        enumerate(
-            [q_ica[_regroup(_transform_modewise(q_ica, dense0), mask)]]
-            + [random_orthogonal(d, substream(opts.seed, "restart", restart)) for restart in range(1, opts.restarts)]
-        )
-    )
+    ica_mask = diagonal_pattern(d, r).dense_zero_mask()
+    [(q_ica, ica_energy, ica_sweeps)] = _descend(dense0, ica_mask, [(0, np.eye(d))], opts)
+    starts = [(k, random_orthogonal(d, substream(opts.seed, "restart", k))) for k in range(1, opts.restarts)]
+    diagonal = np.array_equal(mask, ica_mask)
+    if not diagonal:
+        starts.insert(0, (0, q_ica[_regroup(_transform_modewise(q_ica, dense0), mask)]))
     per = max(1, MAX_DENSE_ENTRIES // dense0.size)
-    results = []
+    results = [(q_ica, ica_energy, 0)] if diagonal else []
     for first in range(0, len(starts), per):
         results += _descend(dense0, mask, starts[first : first + per], opts)
     q, energy, sweeps = results[0]

@@ -80,19 +80,31 @@ def canonical_index(index: Sequence[int], dim: int) -> MultiIndex:
     return idx
 
 
+def _colex_columns(vmax: int, length: int) -> np.ndarray:
+    """(length, vmax + 1) table whose row k holds C(v - 1 + k, k + 1), the rank term of value v at position k (0-based).
+
+    Row 0 is max(v - 1, 0); each later row is the running sum over v of the one before.
+    """
+    col = np.maximum(np.arange(vmax + 1, dtype=np.int64) - 1, 0)
+    rows = []
+    for _ in range(length):
+        rows.append(col)
+        col = np.cumsum(col)
+    return np.array(rows, dtype=np.int64).reshape(length, vmax + 1)
+
+
 def _colex_ranks(idx: np.ndarray) -> np.ndarray:
     """Colex ranks of the rows of ``idx``, each a canonical 1-based index tuple.
 
-    Via the combinatorial number system: position k (0-based) of value v
-    contributes C(v - 1 + k, k + 1), the running sum over v of the k - 1
-    column; positions are gathered one at a time in ``idx``'s own dtype.
+    Via the combinatorial number system: the sum over positions of their
+    ``_colex_columns`` terms, gathered one position at a time in ``idx``'s
+    own dtype.
     """
     idx = np.asarray(idx)
-    col = np.maximum(np.arange(int(idx.max(initial=0)) + 1, dtype=np.int64) - 1, 0)
+    table = _colex_columns(int(idx.max(initial=0)), idx.shape[-1])
     ranks = np.zeros(idx.shape[:-1], dtype=np.int64)
-    for k in range(idx.shape[-1]):
+    for k, col in enumerate(table):
         ranks += col[idx[..., k]]
-        col = np.cumsum(col)
     return ranks
 
 

@@ -60,6 +60,14 @@ def test_walk_matches_per_entry_reference_bit_for_bit(d, r, n, layout, seed):
         assert np.array_equal(m.values, reference_moment(x, k)), (k, layout)
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_walk_divides_raw_sums_as_mean_does_at_one_row(d):
+    # at n = 1 each sum is the product itself, signed zeros included
+    x = np.array([[-0.0, 1.5, -3.0][:d]])
+    for k, m in enumerate(sample_moments(x, 8), start=1):
+        assert m.values.tobytes() == reference_moment(x, k).tobytes()
+
+
 def test_sample_moments_leave_no_reference_cycle():
     # a cycle would hold the (n, d) column copy and the product rows until the collector runs
     x = np.random.default_rng(0).standard_normal((1000, 3))

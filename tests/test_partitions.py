@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pica.estimation import sample_cumulant, sample_moments
 from pica.groups import random_orthogonal
+from pica import partitions
 from pica.partitions import MAX_CONVERSION_ENTRIES, cumulants_to_moments, enumerate_partitions, moments_to_cumulants
 from pica.simulate import gen_independent_sources, mix
 from pica.tensor import SymmetricTensor, num_entries, tensor_from_entries
@@ -246,6 +247,36 @@ def test_conversion_matches_per_entry_reference_bit_for_bit(dim, r, seed):
         for got, want in zip(convert(seq), per_entry_recursion(seq, sign), strict=True):
             assert np.array_equal(got.values, want.values)
     assert_matches_partition_sum(seq)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_dimensional_order_8_matches_per_entry_reference_bit_for_bit(seed):
+    # every order has one entry, so each block of subsets is a single column
+    seq = random_sequence(1, 8, np.random.default_rng(seed))
+    for convert, sign in [(moments_to_cumulants, -1.0), (cumulants_to_moments, 1.0)]:
+        for got, want in zip(convert(seq), per_entry_recursion(seq, sign), strict=True):
+            assert got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("block_entries", [1, 10, 40])
+def test_blocked_conversion_matches_one_block_bit_for_bit(monkeypatch, block_entries):
+    # with a bound of 1 each tuple is a block of its own; 10 and 40 split the higher orders into several blocks
+    rng = np.random.default_rng(5)
+    seq = []
+    for k in range(1, 9):
+        values = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, -3.0], num_entries(2, k))
+        # entry (1, ..., 1) sums only zero products: a sum started from zeros is +0.0,
+        # one started from the first product can be -0.0
+        values[0] = -0.0
+        seq.append(SymmetricTensor(k, 2, values))
+    for convert, sign in [(moments_to_cumulants, -1.0), (cumulants_to_moments, 1.0)]:
+        whole = convert(seq)
+        monkeypatch.setattr(partitions, "_BLOCK_ENTRIES", block_entries)
+        blocked = convert(seq)
+        monkeypatch.undo()
+        for got, one_block, want in zip(blocked, whole, per_entry_recursion(seq, sign), strict=True):
+            assert got.values.tobytes() == one_block.values.tobytes() == want.values.tobytes()
+    assert np.signbit(moments_to_cumulants(seq)[-1].values[0])
 
 
 def test_sample_moment_conversion_matches_partition_sum_at_d4_r8():

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pica import recovery
+from pica._rng import substream
 from pica.estimation import DegenerateDataError, sample_cumulant, whiten
 from pica.groups import (
     BlockLabel,
@@ -49,7 +50,7 @@ from pica.recovery import (
     verify_identifiability,
 )
 from pica.simulate import gen_independent_sources, gen_partitioned_sources, mix
-from pica.tensor import SymmetricTensor, multilinear_transform, num_entries, tensor_from_entries
+from pica.tensor import SymmetricTensor, _transform_modewise, multilinear_transform, num_entries, tensor_from_entries
 
 
 def test_off_pattern_energy_member_is_zero():
@@ -300,6 +301,22 @@ def test_plane_search_finds_the_minimum_over_a_full_period(problem):
     assert found <= energy(0.0) + tol
 
 
+def test_plane_search_keeps_the_quarter_turn_when_the_leading_coefficient_is_zero():
+    # a member with coordinates 2 and 3 swapped; with these integer entries P's leading
+    # coefficient, proportional to f'(pi/2), is exactly 0, so np.roots drops the root at
+    # infinity and only the pi/2 candidate finds the quarter turn back
+    pattern = pattern_from_partition(PartitionSpec(4, ((1, 2), (3, 4))), 4)
+    member = tensor_from_entries(4, 4, [((1, 1, 1, 2), 2.0), ((1, 1, 2, 2), 2.0), ((3, 4, 4, 4), 1.0)])
+    assert is_member(member, pattern)
+    dense = member.to_dense()[np.ix_(*[[0, 2, 1, 3]] * 4)]
+    mask = pattern.dense_zero_mask()
+    samples = _plane_energies(dense[None], mask, 1, 2, _sample_powers(4))
+    assert np.einsum("bs,sp->bp", samples, recovery._tangent_maps(4)[0])[0, 0] == 0.0
+    theta = _minimize_plane(dense[None], mask, 1, 2)[0]
+    assert abs(theta) == math.pi / 2
+    assert _dense_energy(_rotated(dense, 1, 2, theta), mask) < 1e-24 < _dense_energy(dense, mask)
+
+
 @st.composite
 def block_problems(draw):
     """A Haar-rotated generic member of a diagonal, two-block or graph pattern, and a random plane."""
@@ -458,6 +475,30 @@ def test_flat_planes_keep_np_roots_inside_a_stack(monkeypatch):
     assert polynomials and not np.any(polynomials[0])
     # the identity stops after one sweep and leaves the stack; the others go on
     assert results[0][2] == 1 and min(sweeps for _, _, sweeps in results[1:]) > 1
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_restart_zero_on_a_diagonal_target_is_the_ica_descent(d):
+    pattern = diagonal_pattern(d, 4)
+    dense = multilinear_transform(random_orthogonal(d, d), generic_sample(pattern, rng=d)).to_dense()
+    mask, opts = pattern.dense_zero_mask(), RecoveryOptions(restarts=3, seed=d)
+    results = recovery._run_restarts(dense, mask, opts)
+    [ica] = recovery._descend(dense, mask, [(0, np.eye(d))], opts)
+    assert _bytes(results[0]) == _bytes(ica)
+    for restart, result in enumerate(results[1:], start=1):
+        [alone] = recovery._descend(dense, mask, [(restart, random_orthogonal(d, substream(d, "restart", restart)))], opts)
+        assert _bytes(result) == _bytes(alone)
+
+
+def test_restart_zero_on_a_partition_target_counts_both_descents():
+    pattern = pattern_from_partition(PartitionSpec(4, ((1, 2), (3, 4))), 4)
+    dense = multilinear_transform(random_orthogonal(4, 3), generic_sample(pattern, rng=3)).to_dense()
+    mask, opts = pattern.dense_zero_mask(), RecoveryOptions(restarts=1)
+    [(_, _, sweeps)] = recovery._run_restarts(dense, mask, opts)
+    [(q_ica, _, ica_sweeps)] = recovery._descend(dense, diagonal_pattern(4, 4).dense_zero_mask(), [(0, np.eye(4))], opts)
+    start = q_ica[_regroup(_transform_modewise(q_ica, dense), mask)]
+    [(_, _, target_sweeps)] = recovery._descend(dense, mask, [(0, start)], opts)
+    assert sweeps == ica_sweeps + target_sweeps
 
 
 def test_fewer_restarts_are_the_first_results_of_more():

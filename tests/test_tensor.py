@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from pica.tensor import (
     SymmetricTensor,
     _canonical_flat_positions,
+    _colex_columns,
     _colex_ranks,
     _dense_rank_array,
     canonical_indices,
@@ -61,6 +62,14 @@ def test_rank_matches_colex_enumeration():
         for pos, idx in enumerate(colex_tuples(d, r)):
             assert canonical_rank(idx) == pos
         np.testing.assert_array_equal(_colex_ranks(canonical_indices(d, r)), np.arange(num_entries(d, r)))
+
+
+def test_colex_columns_are_the_rank_binomials():
+    table = _colex_columns(9, 8)
+    assert table.shape == (8, 10) and table.dtype == np.int64
+    for k in range(8):
+        assert table[k].tolist() == [0] + [math.comb(v - 1 + k, k + 1) for v in range(1, 10)]
+    assert _colex_columns(3, 0).shape == (0, 4)
 
 
 def test_dense_rank_array_matches_per_position_rank():
