@@ -180,7 +180,7 @@ def run(argv: list[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"pica: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, estimation.DegenerateDataError) as exc:
+    except ValueError as exc:  # estimation.DegenerateDataError among them
         print(f"pica: invalid input: {exc}", file=sys.stderr)
         return EXIT_IO
     except recovery.DescentError as exc:

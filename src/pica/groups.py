@@ -22,7 +22,7 @@ import numpy as np
 from . import _json
 from ._rng import as_generator
 from .patterns import IndependenceGraph, generic_sample, pattern_from_graph
-from .tensor import _colex_ranks, canonical_indices
+from .tensor import _permuted_ranks, canonical_indices
 
 __all__ = [
     "BlockStructure",
@@ -448,7 +448,7 @@ def conjecture_probe(
     # gathering the zero set gives is_member's max violation bit for bit.
     zero_idx = canonical_indices(d, order)[pattern.zero_mask] - 1
     perms = np.abs(np.array(matrices)).argmax(axis=2)
-    ranks = _colex_ranks(np.sort(perms[:, zero_idx], axis=-1) + 1)
+    ranks = _permuted_ranks(perms, zero_idx)
     violations = np.array([np.abs(t.values[ranks]).max(axis=-1, initial=0.0) for t in tensors])
     members = violations <= _PROBE_MEMBERSHIP_TOL
     auto = _automorphisms(perms, graph.adjacency())

@@ -43,7 +43,14 @@ from .groups import (
     random_orthogonal,
 )
 from .patterns import ZeroPattern, diagonal_pattern
-from .tensor import MAX_DENSE_ENTRIES, SymmetricTensor, _transform_modewise
+from .tensor import (
+    MAX_DENSE_ENTRIES,
+    SymmetricTensor,
+    _dense_rank_array,
+    _permuted_ranks,
+    _transform_modewise,
+    canonical_indices,
+)
 
 __all__ = [
     "DescentError",
@@ -310,35 +317,45 @@ def _descend(
 def _regroup(dense: np.ndarray, mask: np.ndarray) -> list[int]:
     """Row order of the rotation behind ``dense`` that groups its coordinates into the mask's blocks.
 
-    Each candidate order is scored exactly, on the whole reordered cube, so
-    rounding cannot cycle a near-member between orders; one is taken if it
-    lowers the energy by more than _SWAP_RTOL of it.  Where all d! orders
-    cost at most MAX_DENSE_ENTRIES gathered entries, they are the
-    candidates, scored in one pass; beyond that, the C(d, 2) transpositions
-    of the current order are, until a full pass takes none.  Transpositions
-    alone can stall: a 2-block holding two coordinates of a 3-block needs
-    two at once.
+    A candidate order is scored exactly on the unique entries of ``dense``,
+    gathered at the ranks it permutes them to and weighted by their
+    zero-constrained cube positions, so rounding cannot cycle a near-member
+    between orders; one is taken if it lowers the energy by more than
+    _SWAP_RTOL of it.  Where the d! orders gather at most MAX_DENSE_ENTRIES
+    entries in all, they are the candidates, scored in one gather and one
+    pass; beyond that, the C(d, 2) transpositions of the current order are,
+    until a full pass takes none.  Transpositions alone can stall: a 2-block
+    holding two coordinates of a 3-block needs two at once.
     """
     d, r = dense.shape[0], dense.ndim
+    idx = canonical_indices(d, r) - 1
+    values = SymmetricTensor.from_dense(dense).values
+    weights = np.bincount(_dense_rank_array(d, r), weights=mask.ravel(), minlength=len(idx))
+
+    def energies(perms):
+        return np.square(values[_permuted_ranks(perms, idx)]) @ weights
+
+    def all_orders():
+        orders = np.array(list(itertools.permutations(range(d))))
+        return zip(orders.tolist(), energies(orders).tolist())
 
     def transpositions():
         # of the order current when each is scored, since taking one changes it
         for i, j in itertools.combinations(range(d), 2):
             candidate = list(order)
             candidate[i], candidate[j] = order[j], order[i]
-            yield candidate
+            yield candidate, float(energies(candidate))
 
-    exhaustive = math.factorial(d) * dense.size <= MAX_DENSE_ENTRIES
+    exhaustive = math.factorial(d) * len(idx) <= MAX_DENSE_ENTRIES
     order = list(range(d))
-    energy = _dense_energy(dense, mask)
+    energy = float(energies(order))
     taken = True
     while taken:
         taken = False
-        for candidate in itertools.permutations(range(d)) if exhaustive else transpositions():
-            value = _dense_energy(dense[np.ix_(*[candidate] * r)], mask)
+        for candidate, value in all_orders() if exhaustive else transpositions():
             if energy - value > _SWAP_RTOL * energy:
                 # the d! orders are absolute and their scores fixed, so one pass takes all it can
-                order, energy, taken = list(candidate), value, not exhaustive
+                order, energy, taken = candidate, value, not exhaustive
     return order
 
 

@@ -108,6 +108,20 @@ def _colex_ranks(idx: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _permuted_ranks(perms: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Colex ranks of the entries that the 0-based canonical rows ``idx`` read once relabelled by each permutation.
+
+    Relabelled by p, entry i is the entry at (p[i_1], ..., p[i_r]), stored at
+    the rank of that tuple sorted.  ``perms`` is one permutation of 0..d-1 or
+    a stack of them, gathered as the narrowest unsigned ints that hold d.
+    """
+    perms = np.asarray(perms)
+    gathered = perms.astype(np.min_scalar_type(perms.shape[-1]))[..., idx]
+    gathered.sort(axis=-1)
+    gathered += 1
+    return _colex_ranks(gathered)
+
+
 def canonical_rank(index: MultiIndex) -> int:
     """Colex rank of a canonical (non-decreasing, 1-based) index tuple."""
     return int(_colex_ranks(np.array([index], dtype=np.int64))[0])
@@ -129,7 +143,7 @@ def canonical_indices(dim: int, order: int) -> np.ndarray:
     the first C(v+k-2, k-1); the order-k tuples ending in v are exactly those
     with v appended, so stacking them for v = 1..dim builds order k.
     """
-    _check_entry_budget(dim, order)
+    _check_shape(order, dim)
     idx = np.empty((1, 0), dtype=np.int64)
     for k in range(1, order + 1):
         counts = [num_entries(v, k - 1) for v in range(1, dim + 1)]

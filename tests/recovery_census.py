@@ -28,8 +28,8 @@ best restart's coset residual is 0.1 or more), the search failures (no
 restart within 0.1), the near-ties (another restart within 1% of the best
 objective whose rotation is at coset residual 0.1 or more from the best's),
 the restarts that ran `max_sweeps` sweeps and the sweeps, with the failed
-draws and a digest as above.  This mode records; its exit code is 1 only if
-a recovery raised.
+draws, the structure's wall time in seconds and a digest as above.  This
+mode records; its exit code is 1 only if a recovery raised.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import hashlib
 import json
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -97,6 +98,7 @@ def structure_census(sizes: tuple[int, ...], draws: int) -> int:
     pattern = pattern_from_partition(spec, 4)
     mask, structure = pattern.dense_zero_mask(), BlockStructure(sizes)
     sha = hashlib.sha256()
+    start = time.perf_counter()
     failed_draws, errors = [], []
     search_failures = near_ties = max_sweep_hits = sweeps = 0
     for s in range(draws):
@@ -133,6 +135,7 @@ def structure_census(sizes: tuple[int, ...], draws: int) -> int:
         "near_ties": near_ties,
         "max_sweep_hits": max_sweep_hits,
         "sweeps": sweeps,
+        "seconds": round(time.perf_counter() - start, 3),
         "errors": errors,
         "digest": sha.hexdigest(),
     }))

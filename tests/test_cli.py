@@ -351,7 +351,20 @@ def test_empty_and_out_of_range_inputs_exit_two(workdir, capsys):
     sixteen = workdir / "sixteen.csv"
     write_csv(sixteen, np.random.default_rng(0).standard_normal((20, 16)))
     out = str(workdir / "o.json")
+    # a pattern or graph of dimension < 1 is refused by canonical_indices, not left to an IndexError
+    tensor_path, no_d_graph = workdir / "t.json", workdir / "no_d.json"
+    save_tensor(tensor_from_entries(4, 2, []), tensor_path)
+    no_d_graph.write_text(json.dumps({"edges": []}))
+    dim_patterns = {dim: workdir / f"dim{dim}.json" for dim in (0, -2)}
+    for dim, path in dim_patterns.items():
+        path.write_text(json.dumps({"kind": "diagonal", "order": 4, "dim": dim}))
+    recover = ["recover", "--in", str(data), "--seed", "0", "--out", out]
     cases = [
+        (["check", "--tensor", str(tensor_path), "--pattern", str(dim_patterns[0])], "dim must be positive, got 0"),
+        (["check", "--tensor", str(tensor_path), "--pattern", str(dim_patterns[-2])], "dim must be positive, got -2"),
+        (recover + ["--pattern", str(dim_patterns[0])], "dim must be positive, got 0"),
+        (recover + ["--pattern", str(dim_patterns[-2])], "dim must be positive, got -2"),
+        (["probe", "--graph", str(no_d_graph), "--seed", "0"], "dim must be positive, got 0"),
         (["probe", "--graph", str(graph_path), "--trials", "0", "--seed", "0"], "trials >= 1, got 0"),
         (["probe", "--graph", str(graph_path), "--trials", "-1", "--seed", "0"], "trials >= 1, got -1"),
         (["cumulants", "--in", str(empty_csv), "--order", "4", "--out", out], "must be non-empty"),

@@ -50,7 +50,14 @@ from pica.recovery import (
     verify_identifiability,
 )
 from pica.simulate import gen_independent_sources, gen_partitioned_sources, mix
-from pica.tensor import SymmetricTensor, _transform_modewise, multilinear_transform, num_entries, tensor_from_entries
+from pica.tensor import (
+    SymmetricTensor,
+    _permuted_ranks,
+    _transform_modewise,
+    multilinear_transform,
+    num_entries,
+    tensor_from_entries,
+)
 
 
 def test_off_pattern_energy_member_is_zero():
@@ -562,7 +569,7 @@ def test_restart_zero_alone_recovers_partitioned_sources(blocks, laws):
 
 @pytest.mark.parametrize("blocks", [((1, 2, 3, 4), (5, 6, 7, 8)), ((1, 2), (3, 4), (5, 6), (7, 8))])
 def test_regroup_transpositions_group_scrambled_members(blocks):
-    # d!·d^r > MAX_DENSE_ENTRIES at d = 8, r = 4, so the candidates are transpositions
+    # d!·C(d+r-1, r) = 40320 · 330 > 2^22 = MAX_DENSE_ENTRIES at d = 8, r = 4, so the candidates are transpositions
     pattern = pattern_from_partition(PartitionSpec(8, blocks), 4)
     mask = pattern.dense_zero_mask()
     for seed in range(5):
@@ -580,7 +587,17 @@ def test_regroup_keeps_the_identity_for_a_diagonal_mask(d):
     assert _regroup(dense, pattern.dense_zero_mask()) == list(range(d))
 
 
-@pytest.mark.parametrize("blocks", [((1, 2), (3,)), ((1, 2), (3, 4, 5)), ((1,), (2, 3), (4, 5, 6)), ((1, 2, 3), (4, 5, 6))])
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        ((1, 2), (3,)),
+        ((1, 2), (3, 4, 5)),
+        ((1,), (2, 3), (4, 5, 6)),
+        ((1, 2, 3), (4, 5, 6)),
+        ((1, 2), (3, 4), (5, 6, 7)),
+        ((1, 2, 3), (4, 5, 6, 7)),
+    ],
+)
 def test_regroup_finds_the_best_order_at_small_d(blocks):
     pattern = pattern_from_partition(PartitionSpec(sum(map(len, blocks)), blocks), 4)
     d, mask = pattern.dim, pattern.dense_zero_mask()
@@ -591,6 +608,11 @@ def test_regroup_finds_the_best_order_at_small_d(blocks):
         order = _regroup(dense, mask)
         energy = _dense_energy(dense[np.ix_(*[order] * 4)], mask)
         assert energy - best <= _SWAP_RTOL * energy
+        # a scrambled member: some order reaches zero, where transpositions alone stall at d = 7
+        perm = np.random.default_rng(seed).permutation(d)
+        scrambled = generic_sample(pattern, rng=seed).to_dense()[np.ix_(*[perm] * 4)]
+        order = _regroup(scrambled, mask)
+        assert _dense_energy(scrambled[np.ix_(*[order] * 4)], mask) <= 1e-24 * np.sum(scrambled**2)
 
 
 def _regroup_until_stable(dense, mask):
@@ -611,16 +633,17 @@ def test_regroup_scores_each_of_the_d_factorial_orders_once(monkeypatch):
     mask = pattern.dense_zero_mask()
     calls = []
 
-    def counting_energy(dense, mask):
-        calls.append(1)
-        return _dense_energy(dense, mask)
+    def counting_ranks(perms, idx):
+        # one order per row: the identity alone, then the d! orders in one gather
+        calls.extend(np.atleast_2d(perms))
+        return _permuted_ranks(perms, idx)
 
     for seed in range(3):
         perm = np.random.default_rng(seed).permutation(5)
         dense = generic_sample(pattern, rng=seed).to_dense()[np.ix_(*[perm] * 4)]
         expected = _regroup_until_stable(dense, mask)
         assert expected != list(range(5))  # some order was taken, so a second pass would rescan
-        monkeypatch.setattr(recovery, "_dense_energy", counting_energy)
+        monkeypatch.setattr(recovery, "_permuted_ranks", counting_ranks)
         calls.clear()
         assert _regroup(dense, mask) == expected
         assert len(calls) == 1 + math.factorial(5)

@@ -14,6 +14,7 @@ from pica.tensor import (
     _colex_columns,
     _colex_ranks,
     _dense_rank_array,
+    _permuted_ranks,
     canonical_indices,
     canonical_rank,
     hessian_eval,
@@ -101,6 +102,21 @@ def test_from_dense_round_trips_through_cached_flat_positions():
             t = random_tensor(r, d, rng)
             back = SymmetricTensor.from_dense(t.to_dense())
             np.testing.assert_array_equal(back.values, t.values)
+
+
+def test_permuted_ranks_gather_the_relabelled_cube_bit_for_bit():
+    rng = np.random.default_rng(0)
+    for d in range(1, 7):
+        for r in range(1, 7):
+            t = random_tensor(r, d, rng)
+            dense, idx = t.to_dense(), canonical_indices(d, r) - 1
+            perms = np.array([rng.permutation(d) for _ in range(3)])
+            stacked = t.values[_permuted_ranks(perms, idx)]
+            assert stacked.shape == (3, num_entries(d, r))
+            for p, row in zip(perms, stacked):
+                want = SymmetricTensor.from_dense(dense[np.ix_(*[p] * r)]).values
+                np.testing.assert_array_equal(t.values[_permuted_ranks(p, idx)], want)
+                np.testing.assert_array_equal(row, want)
 
 
 def test_unique_entry_count():
