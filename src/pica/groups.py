@@ -381,13 +381,12 @@ def _automorphisms(perms: np.ndarray, a: np.ndarray) -> np.ndarray:
     return (a[perms[:, :, None], perms[:, None, :]] == a).all(axis=(1, 2))
 
 
-def graph_automorphism_check(p: np.ndarray, graph: IndependenceGraph, tol: float = 0.0) -> bool:
+def graph_automorphism_check(p: np.ndarray, graph: IndependenceGraph) -> bool:
     """True iff the permutation preserves the adjacency matrix: P^T A P = A."""
     perm = _check_permutation_matrix(p).argmax(axis=1)
-    a = graph.adjacency()
     if perm.size != graph.dim:
         raise ValueError(f"permutation dim {perm.size} != graph dim {graph.dim}")
-    return bool(np.abs(a[perm[:, None], perm] - a).max() <= tol)
+    return bool(_automorphisms(perm[None], graph.adjacency())[0])
 
 
 @dataclass

@@ -240,16 +240,20 @@ def intersect_patterns(a: ZeroPattern, b: ZeroPattern) -> ZeroPattern:
                        {"parts": [a.kind, b.kind]})
 
 
-def is_member(tensor: SymmetricTensor, pattern: ZeroPattern, tol: float = POPULATION_TOL) -> MembershipResult:
-    """Check every zero-constrained entry against |value| <= tol.
-
-    Always reports the largest violation and where it occurs.
-    """
+def _check_tensor_shape(tensor: SymmetricTensor, pattern: ZeroPattern) -> None:
     if (tensor.order, tensor.dim) != (pattern.order, pattern.dim):
         raise ValueError(
             f"tensor (order={tensor.order}, dim={tensor.dim}) does not match "
             f"pattern (order={pattern.order}, dim={pattern.dim})"
         )
+
+
+def is_member(tensor: SymmetricTensor, pattern: ZeroPattern, tol: float = POPULATION_TOL) -> MembershipResult:
+    """Check every zero-constrained entry against |value| <= tol.
+
+    Always reports the largest violation and where it occurs.
+    """
+    _check_tensor_shape(tensor, pattern)
     constrained = np.abs(tensor.values[pattern.zero_mask])
     if constrained.size == 0:
         return MembershipResult(True, 0.0, None)

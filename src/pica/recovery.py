@@ -42,7 +42,7 @@ from .groups import (
     nearest_signed_permutation,
     random_orthogonal,
 )
-from .patterns import ZeroPattern, diagonal_pattern
+from .patterns import ZeroPattern, _check_tensor_shape, diagonal_pattern
 from .tensor import (
     MAX_DENSE_ENTRIES,
     SymmetricTensor,
@@ -108,11 +108,7 @@ def off_pattern_energy(tensor: SymmetricTensor, pattern: ZeroPattern) -> float:
     Summed over the full d^r array, so each canonical entry counts once
     per distinct permutation of its index; zero exactly on pattern members.
     """
-    if (tensor.order, tensor.dim) != (pattern.order, pattern.dim):
-        raise ValueError(
-            f"tensor (order={tensor.order}, dim={tensor.dim}) does not match "
-            f"pattern (order={pattern.order}, dim={pattern.dim})"
-        )
+    _check_tensor_shape(tensor, pattern)
     return _dense_energy(tensor.to_dense(), pattern.dense_zero_mask())
 
 
@@ -403,8 +399,7 @@ def minimize_off_pattern(
     Used directly for stabilizer probes on population tensors.
     """
     opts = opts or RecoveryOptions()
-    if (tensor.order, tensor.dim) != (pattern.order, pattern.dim):
-        raise ValueError("tensor and pattern must share order and dim")
+    _check_tensor_shape(tensor, pattern)
     results = _run_restarts(tensor.to_dense(), pattern.dense_zero_mask(), opts)
     return [(q, energy) for q, energy, _ in results]
 

@@ -111,15 +111,17 @@ def _colex_ranks(idx: np.ndarray) -> np.ndarray:
 def _permuted_ranks(perms: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Colex ranks of the entries that the 0-based canonical rows ``idx`` read once relabelled by each permutation.
 
-    Relabelled by p, entry i is the entry at (p[i_1], ..., p[i_r]), stored at
-    the rank of that tuple sorted.  ``perms`` is one permutation of 0..d-1 or
-    a stack of them, gathered as the narrowest unsigned ints that hold d.
+    Relabelled by p, entry i is the entry at cube position (p[i_1], ..., p[i_r]): the rank cube's entry at flat
+    position sum_k p[i_k] d^(r-1-k), so d^r must be within MAX_DENSE_ENTRIES.  ``perms`` is one permutation of
+    0..d-1 or a stack of them, gathered one position at a time as the narrowest unsigned ints and summed in int32.
     """
-    perms = np.asarray(perms)
-    gathered = perms.astype(np.min_scalar_type(perms.shape[-1]))[..., idx]
-    gathered.sort(axis=-1)
-    gathered += 1
-    return _colex_ranks(gathered)
+    d = np.shape(perms)[-1]
+    narrow = np.asarray(perms, dtype=np.min_scalar_type(d))
+    flat = narrow[..., idx[:, 0]].astype(np.int32)
+    for column in idx.T[1:]:
+        flat *= d
+        flat += narrow[..., column]
+    return _dense_rank_array(d, idx.shape[-1])[flat]
 
 
 def canonical_rank(index: MultiIndex) -> int:

@@ -25,10 +25,17 @@ alternating over the coordinates at odd s; the mixing is
 seed=s)`.  Each problem runs the steps of `estimate_unmixing`, keeping every
 restart's rotation.  One JSON line per structure counts the failures (the
 best restart's coset residual is 0.1 or more), the search failures (no
-restart within 0.1), the near-ties (another restart within 1% of the best
-objective whose rotation is at coset residual 0.1 or more from the best's),
-the restarts that ran `max_sweeps` sweeps and the sweeps, with the failed
-draws, the structure's wall time in seconds and a digest as above.  This
+restart within 0.1), the objective failures, the near-ties (another restart
+within 1% of the best objective whose rotation is at coset residual 0.1 or
+more from the best's), the restarts that ran `max_sweeps` sweeps and the
+sweeps, with the failed draws, the structure's wall time in seconds and a
+digest as above.  An objective failure is a failed draw that no search could
+recover: one more descent, started at the truth's rotation (the polar factor
+of (V A)^-1 for the whitening transform V and the mixing A), stays within 0.1
+of the truth's coset and ends at an objective no lower than the best
+restart's.  Restart 0's sweeps are its ICA descent's and its target
+descent's together, in both modes, so a `max_sweeps` count can flag restart
+0 when neither descent reached `max_sweeps` on its own.  This
 mode records; its exit code is 1 only if a recovery raised.
 """
 
@@ -49,7 +56,7 @@ import numpy as np  # noqa: E402
 from pica.estimation import sample_cumulant, whiten  # noqa: E402
 from pica.groups import BlockStructure, coset_residual, random_orthogonal  # noqa: E402
 from pica.patterns import PartitionSpec, pattern_from_partition  # noqa: E402
-from pica.recovery import RecoveryOptions, _run_restarts, verify_identifiability  # noqa: E402
+from pica.recovery import RecoveryOptions, _descend, _run_restarts, verify_identifiability  # noqa: E402
 from pica.simulate import gen_partitioned_sources, mix  # noqa: E402
 from spans import NullTracer  # noqa: E402
 from workloads import RESIDUAL_GATE, RecoverD4  # noqa: E402
@@ -91,6 +98,14 @@ def recover_d4_census(seeds: tuple[int, int], passes: int) -> int:
     return 1 if failed or max_sweep_hits else 0
 
 
+def objective_failure(dense, mask, transform, a, structure, best_objective, opts) -> bool:
+    """Whether a descent from the truth's rotation, the polar factor of (V A)^-1, stays in the truth's coset
+    and ends no lower than the best restart."""
+    u, _, vt = np.linalg.svd(np.linalg.inv(transform @ a))
+    [(q, objective, _)] = _descend(dense, mask, [(0, u @ vt)], opts)
+    return verify_identifiability(q @ transform, a, structure).residual < RESIDUAL_GATE and objective >= best_objective
+
+
 def structure_census(sizes: tuple[int, ...], draws: int) -> int:
     d = sum(sizes)
     ends = np.cumsum(sizes)
@@ -100,14 +115,15 @@ def structure_census(sizes: tuple[int, ...], draws: int) -> int:
     sha = hashlib.sha256()
     start = time.perf_counter()
     failed_draws, errors = [], []
-    search_failures = near_ties = max_sweep_hits = sweeps = 0
+    search_failures = objective_failures = near_ties = max_sweep_hits = sweeps = 0
     for s in range(draws):
         laws = ["uniform"] * d if s % 2 == 0 else [("uniform", "rademacher_mixture")[i % 2] for i in range(d)]
         a = random_orthogonal(d, 1000 + s)
         opts = RecoveryOptions(restarts=8, seed=s)
         try:
             white = whiten(mix(gen_partitioned_sources(100_000, spec, laws, s), a))
-            results = _run_restarts(sample_cumulant(white.whitened, opts.order).to_dense(), mask, opts)
+            dense = sample_cumulant(white.whitened, opts.order).to_dense()
+            results = _run_restarts(dense, mask, opts)
             residuals = [verify_identifiability(q @ white.transform, a, structure).residual for q, _, _ in results]
         except Exception as exc:  # counted and reported; the census goes on
             errors.append(f"draw {s}: {type(exc).__name__}: {exc}")
@@ -116,6 +132,7 @@ def structure_census(sizes: tuple[int, ...], draws: int) -> int:
         best = int(np.argmin(objectives))
         if not residuals[best] < RESIDUAL_GATE:
             failed_draws.append(s)
+            objective_failures += objective_failure(dense, mask, white.transform, a, structure, objectives[best], opts)
         search_failures += not min(residuals) < RESIDUAL_GATE
         near_ties += any(
             k != best
@@ -132,6 +149,7 @@ def structure_census(sizes: tuple[int, ...], draws: int) -> int:
         "failed": len(failed_draws) + len(errors),
         "failed_draws": failed_draws,
         "search_failures": search_failures,
+        "objective_failures": objective_failures,
         "near_ties": near_ties,
         "max_sweep_hits": max_sweep_hits,
         "sweeps": sweeps,

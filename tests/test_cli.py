@@ -371,7 +371,7 @@ def test_empty_and_out_of_range_inputs_exit_two(workdir, capsys):
         (["cumulants", "--in", str(data), "--order", "0", "--out", out], "order must be in 1..8, got 0"),
         # C(67, 8) unique entries are refused before any tuple is built
         (["cumulants", "--in", str(wide), "--order", "8", "--out", out], "d = 60, r = 8 has C(d+r-1, r) = 6522361560"),
-        # C(23, 8) = 490314 unique entries fit, but 255 sub-tuple arrays of them do not
+        # C(23, 8) = 490314 unique entries fit the entry budget, not the conversion's, which bounds the estimate's memory
         (["cumulants", "--in", str(sixteen), "--order", "8", "--out", out], "(2^r - 1) = 125030070 sub-tuple entries"),
     ]
     with warnings.catch_warnings():

@@ -429,7 +429,7 @@ def reference_probe(graph, order, trials, rng, tol):
         matrices = [random_signed_permutation(graph.dim, g) for _ in range(_PROBE_SAMPLES)]
     agreements, automorphisms, disagreements, per_matrix = 0, 0, [], []
     for qi, q in enumerate(matrices):
-        auto = graph_automorphism_check(np.abs(q), graph, tol=0.0)
+        auto = graph_automorphism_check(np.abs(q), graph)
         automorphisms += auto
         verdicts = []
         for ti, t in enumerate(tensors):

@@ -106,17 +106,35 @@ def test_from_dense_round_trips_through_cached_flat_positions():
 
 def test_permuted_ranks_gather_the_relabelled_cube_bit_for_bit():
     rng = np.random.default_rng(0)
-    for d in range(1, 7):
-        for r in range(1, 7):
-            t = random_tensor(r, d, rng)
-            dense, idx = t.to_dense(), canonical_indices(d, r) - 1
+    # d = 7 at r = 3..5 is the reach of the regroup's search over all d! orders; at r = 4 it checks every one
+    shapes = [(d, r) for d in range(1, 7) for r in range(1, 7)] + [(7, 3), (7, 4), (7, 5)]
+    for d, r in shapes:
+        t = random_tensor(r, d, rng)
+        dense, idx = t.to_dense(), canonical_indices(d, r) - 1
+        if (d, r) == (7, 4):
+            perms = np.array(list(itertools.permutations(range(d))))
+        else:
             perms = np.array([rng.permutation(d) for _ in range(3)])
-            stacked = t.values[_permuted_ranks(perms, idx)]
-            assert stacked.shape == (3, num_entries(d, r))
-            for p, row in zip(perms, stacked):
-                want = SymmetricTensor.from_dense(dense[np.ix_(*[p] * r)]).values
-                np.testing.assert_array_equal(t.values[_permuted_ranks(p, idx)], want)
-                np.testing.assert_array_equal(row, want)
+        stacked = t.values[_permuted_ranks(perms, idx)]
+        assert stacked.shape == (len(perms), num_entries(d, r))
+        for p, row in zip(perms, stacked):
+            want = SymmetricTensor.from_dense(dense[np.ix_(*[p] * r)]).values
+            np.testing.assert_array_equal(t.values[_permuted_ranks(p, idx)], want)
+            np.testing.assert_array_equal(row, want)
+
+
+def test_permuted_ranks_of_all_orders_peak_below_twenty_bytes_per_gathered_entry():
+    d, r = 7, 4
+    perms, idx = np.array(list(itertools.permutations(range(d)))), canonical_indices(d, r) - 1
+    _permuted_ranks(perms[:1], idx)  # the rank cube is cached, as it is wherever the cube already exists
+    tracemalloc.start()
+    try:
+        ranks = _permuted_ranks(perms, idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ranks.shape == (math.factorial(d), num_entries(d, r))
+    assert peak <= 20 * ranks.size
 
 
 def test_unique_entry_count():
