@@ -14,9 +14,10 @@ import numpy as np
 
 
 def dump(obj, path) -> None:
+    """Write ``obj`` to ``path``; a NaN or infinity raises ValueError before the file is opened."""
+    text = json.dumps(obj, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def number(value) -> float:

@@ -129,9 +129,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_recover(args) -> int:
+    opts = recovery.RecoveryOptions(order=args.order, restarts=args.restarts, seed=args.seed)
     data = estimation.read_csv(args.infile)
     pat = patterns.load_pattern(args.pattern)
-    opts = recovery.RecoveryOptions(order=args.order, restarts=args.restarts, seed=args.seed)
     report = recovery.estimate_unmixing(data, pat, opts)
     recovery.save_report(report, args.out)
     print(f"objective {report.objective:.6e} (best of {args.restarts} restarts) -> {args.out}")

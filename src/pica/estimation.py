@@ -115,12 +115,17 @@ def sample_moment(x: np.ndarray, r: int) -> SymmetricTensor:
 def sample_cumulant(x: np.ndarray, r: int) -> SymmetricTensor:
     """Order-r plug-in cumulant tensor: the last of ``moments_to_cumulants(sample_moments(x, r))``.
 
-    A conversion over its budget is refused before any moment is taken.
+    A conversion over its budget is refused before any moment is taken, and
+    a cumulant that overflows a float is refused without a warning.
     """
     x = as_sample_matrix(x)
     _check_shape(r, x.shape[1])
     _check_conversion_budget(x.shape[1], r)
-    return moments_to_cumulants(sample_moments(x, r))[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        kappa = moments_to_cumulants(sample_moments(x, r))[-1]
+    if not np.isfinite(kappa.values).all():
+        raise ValueError(f"the order-{r} sample cumulant overflows a float; rescale the data")
+    return kappa
 
 
 def center(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

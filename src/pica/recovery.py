@@ -100,6 +100,8 @@ class RecoveryOptions:
             raise ValueError(f"cumulant order must be >= 3, got {self.order}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def off_pattern_energy(tensor: SymmetricTensor, pattern: ZeroPattern) -> float:
@@ -316,43 +318,37 @@ def _regroup(dense: np.ndarray, mask: np.ndarray) -> list[int]:
     A candidate order is scored exactly on the unique entries of ``dense``,
     gathered at the ranks it permutes them to and weighted by their
     zero-constrained cube positions, so rounding cannot cycle a near-member
-    between orders; one is taken if it lowers the energy by more than
-    _SWAP_RTOL of it.  Where the d! orders gather at most MAX_DENSE_ENTRIES
-    entries in all, they are the candidates, scored in one gather and one
-    pass; beyond that, the C(d, 2) transpositions of the current order are,
-    until a full pass takes none.  Transpositions alone can stall: a 2-block
-    holding two coordinates of a 3-block needs two at once.
+    between orders.  Each pass scores its candidates in one gather and takes
+    the first within _SWAP_RTOL of the energy of their lowest score, if it
+    lowers the energy by more than _SWAP_RTOL of it.  Where the d! orders
+    gather at most MAX_DENSE_ENTRIES entries in all, they are the candidates
+    of the one pass; beyond that, the C(d, 2) transpositions of the current
+    order are, so each pass takes the best one, until a pass takes none.
+    Transpositions alone can stall: a 2-block holding two coordinates of a
+    3-block needs two at once.
     """
     d, r = dense.shape[0], dense.ndim
     idx = canonical_indices(d, r) - 1
     values = SymmetricTensor.from_dense(dense).values
     weights = np.bincount(_dense_rank_array(d, r), weights=mask.ravel(), minlength=len(idx))
-
-    def energies(perms):
-        return np.square(values[_permuted_ranks(perms, idx)]) @ weights
-
-    def all_orders():
-        orders = np.array(list(itertools.permutations(range(d))))
-        return zip(orders.tolist(), energies(orders).tolist())
-
-    def transpositions():
-        # of the order current when each is scored, since taking one changes it
-        for i, j in itertools.combinations(range(d), 2):
-            candidate = list(order)
-            candidate[i], candidate[j] = order[j], order[i]
-            yield candidate, float(energies(candidate))
-
     exhaustive = math.factorial(d) * len(idx) <= MAX_DENSE_ENTRIES
-    order = list(range(d))
-    energy = float(energies(order))
-    taken = True
-    while taken:
-        taken = False
-        for candidate, value in all_orders() if exhaustive else transpositions():
-            if energy - value > _SWAP_RTOL * energy:
-                # the d! orders are absolute and their scores fixed, so one pass takes all it can
-                order, energy, taken = candidate, value, not exhaustive
-    return order
+    if exhaustive:
+        moves = np.array(list(itertools.permutations(range(d))))
+    else:
+        # row k swaps the k-th pair of positions
+        rows, (i, j) = np.arange(math.comb(d, 2)), np.array(list(itertools.combinations(range(d), 2))).T
+        moves = np.tile(np.arange(d), (len(rows), 1))
+        moves[rows, i], moves[rows, j] = j, i
+    order, energy = np.arange(d), np.square(values) @ weights
+    while True:
+        candidates = order[moves]
+        scores = np.square(values[_permuted_ranks(candidates, idx)]) @ weights
+        best = np.argmax(scores <= scores.min() + _SWAP_RTOL * energy)
+        if energy - scores[best] <= _SWAP_RTOL * energy:
+            return order.tolist()
+        order, energy = candidates[best], scores[best]
+        if exhaustive:
+            return order.tolist()
 
 
 def _run_restarts(
@@ -476,10 +472,15 @@ def verify_identifiability(w: np.ndarray, a_true: np.ndarray, structure: BlockSt
     a_true = np.asarray(a_true, dtype=float)
     if w.shape != a_true.shape:
         raise ValueError(f"unmixing matrix shape {w.shape} != ground-truth mixing matrix shape {a_true.shape}")
-    # the rank is scale-free; a non-finite matrix is left to coset_residual's own message
-    if np.isfinite(a_true).all() and np.linalg.matrix_rank(a_true) < len(a_true):
+    for name, matrix in (("unmixing", w), ("ground-truth mixing", a_true)):
+        if not np.isfinite(matrix).all():
+            raise ValueError(f"{name} matrix contains non-finite values")
+    # the rank is scale-free
+    if np.linalg.matrix_rank(a_true) < len(a_true):
         raise ValueError("ground-truth mixing matrix is singular")
-    product = w @ a_true
+    # a product that overflows is refused by coset_residual
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = w @ a_true
     residual, assignment = coset_residual(product, structure)
     distances = []
     for i, j in enumerate(assignment):

@@ -350,6 +350,8 @@ def test_empty_and_out_of_range_inputs_exit_two(workdir, capsys):
     write_csv(wide, np.random.default_rng(0).standard_normal((1, 60)))
     sixteen = workdir / "sixteen.csv"
     write_csv(sixteen, np.random.default_rng(0).standard_normal((20, 16)))
+    huge = workdir / "huge.csv"
+    write_csv(huge, 1e100 * np.random.default_rng(0).standard_normal((50, 3)))
     out = str(workdir / "o.json")
     # a pattern or graph of dimension < 1 is refused by canonical_indices, not left to an IndexError
     tensor_path, no_d_graph = workdir / "t.json", workdir / "no_d.json"
@@ -373,6 +375,8 @@ def test_empty_and_out_of_range_inputs_exit_two(workdir, capsys):
         (["cumulants", "--in", str(wide), "--order", "8", "--out", out], "d = 60, r = 8 has C(d+r-1, r) = 6522361560"),
         # C(23, 8) = 490314 unique entries fit the entry budget, not the conversion's, which bounds the estimate's memory
         (["cumulants", "--in", str(sixteen), "--order", "8", "--out", out], "(2^r - 1) = 125030070 sub-tuple entries"),
+        # fourth powers near 1e400 overflow: refused, where a file of NaN values was written
+        (["cumulants", "--in", str(huge), "--order", "4", "--out", out], "the order-4 sample cumulant overflows a float"),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning would be a second stderr line
@@ -380,6 +384,7 @@ def test_empty_and_out_of_range_inputs_exit_two(workdir, capsys):
             assert cli.run(argv) == 2, argv
             err = capsys.readouterr().err.strip().splitlines()
             assert len(err) == 1 and message in err[0], err
+    assert not os.path.exists(out)
 
 
 def test_descent_failure_exits_two(workdir, capsys, monkeypatch):
@@ -395,6 +400,43 @@ def test_descent_failure_exits_two(workdir, capsys, monkeypatch):
     assert cli.run(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["pica: descent failed: objective increased within a sweep: 0.5 -> 0.75"]
+
+
+def test_negative_seed_exits_two_before_any_work(workdir, capsys, monkeypatch):
+    def no_descent(*args):
+        raise AssertionError("a negative seed reached the descent")
+
+    monkeypatch.setattr(recovery, "_descend", no_descent)
+    data, pattern_path, out = workdir / "data.csv", workdir / "p.json", workdir / "r.json"
+    write_csv(data, np.random.default_rng(0).standard_normal((50, 4)))
+    save_pattern(pattern_from_partition(PartitionSpec(4, ((1, 2), (3, 4))), 4), pattern_path)
+    capsys.readouterr()
+    for restarts in ("1", "2"):
+        argv = ["recover", "--in", str(data), "--pattern", str(pattern_path), "--restarts", restarts,
+                "--seed", "-1", "--out", str(out)]
+        assert cli.run(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["pica: invalid input: seed must be >= 0, got -1"]
+        assert not out.exists()
+
+
+def test_verify_overflow_prints_one_line(workdir, capsys):
+    data, pattern_path, report_path = workdir / "data.csv", workdir / "p.json", workdir / "r.json"
+    write_csv(data, np.random.default_rng(0).standard_normal((50, 4)))
+    save_pattern(diagonal_pattern(4, 4), pattern_path)
+    assert cli.run(["recover", "--in", str(data), "--pattern", str(pattern_path), "--restarts", "1",
+                    "--seed", "0", "--out", str(report_path)]) == 0
+    # finite entries whose product overflows: coset_residual's refusal is the one line
+    report = json.loads(report_path.read_text())
+    report_path.write_text(json.dumps({**report, "unmixing": (1e200 * np.eye(4)).tolist()}))
+    truth_path = workdir / "truth.json"
+    save_matrix(1e200 * random_orthogonal(4, 1), truth_path)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would be a second stderr line
+        assert cli.run(["verify", "--report", str(report_path), "--truth", str(truth_path), "--blocks", "2,2"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["pica: invalid input: matrix contains non-finite values"]
 
 
 def test_simulate_rejects_bad_spec(workdir):

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +234,15 @@ def test_unique_entry_budget_refused_before_building():
     for call in (lambda: sample_moments(x, 8), lambda: canonical_indices(60, 8), lambda: SymmetricTensor(8, 60)):
         with pytest.raises(ValueError, match=f"d = 60, r = 8 has C\\(d\\+r-1, r\\) = {count} "):
             call()
+
+
+def test_sample_cumulant_overflow_is_refused_without_a_warning():
+    x = 1e100 * np.random.default_rng(0).standard_normal((50, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(sample_cumulant(x, 2).values).all()
+        with pytest.raises(ValueError, match="^the order-4 sample cumulant overflows a float"):
+            sample_cumulant(x, 4)
 
 
 def test_sample_multilinearity_is_exact():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -247,6 +248,19 @@ def test_verify_identifiability_is_scale_free():
     assert ident.residual < 1e-14
     with pytest.raises(ValueError, match="non-finite"):
         verify_identifiability(np.eye(4), np.where(np.eye(4) > 0, 1.0, np.nan), BlockStructure((2, 2)))
+
+
+def test_verify_identifiability_refuses_non_finite_input_without_a_warning():
+    infinite = np.where(np.eye(4) > 0, np.inf, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^ground-truth mixing matrix contains non-finite values$"):
+            verify_identifiability(np.eye(4), infinite, BlockStructure((2, 2)))
+        with pytest.raises(ValueError, match="^unmixing matrix contains non-finite values$"):
+            verify_identifiability(infinite, np.eye(4), BlockStructure((2, 2)))
+        # finite factors whose product overflows
+        with pytest.raises(ValueError, match="^matrix contains non-finite values$"):
+            verify_identifiability(1e200 * np.eye(4), 1e200 * random_orthogonal(4, 1), BlockStructure((2, 2)))
 
 
 @st.composite
@@ -635,8 +649,8 @@ def test_regroup_scores_each_of_the_d_factorial_orders_once(monkeypatch):
     calls = []
 
     def counting_ranks(perms, idx):
-        # one order per row: the identity alone, then the d! orders in one gather
-        calls.extend(np.atleast_2d(perms))
+        # one order per row: the d! orders in one gather; the identity's energy needs none
+        calls.extend(map(tuple, np.atleast_2d(perms)))
         return _permuted_ranks(perms, idx)
 
     for seed in range(3):
@@ -647,8 +661,58 @@ def test_regroup_scores_each_of_the_d_factorial_orders_once(monkeypatch):
         monkeypatch.setattr(recovery, "_permuted_ranks", counting_ranks)
         calls.clear()
         assert _regroup(dense, mask) == expected
-        assert len(calls) == 1 + math.factorial(5)
+        assert sorted(calls) == list(itertools.permutations(range(5)))
         monkeypatch.undo()
+
+
+def _transpositions(order):
+    for i, j in itertools.combinations(range(len(order)), 2):
+        swapped = list(order)
+        swapped[i], swapped[j] = order[j], order[i]
+        yield swapped
+
+
+def test_regroup_scores_each_transposition_pass_in_one_gather(monkeypatch):
+    # d = 8, r = 4 is beyond the d! budget: each pass gathers the C(8, 2) transpositions of the order it starts from
+    pattern = pattern_from_partition(PartitionSpec(8, ((1, 2, 3), (4, 5, 6), (7, 8))), 4)
+    mask = pattern.dense_zero_mask()
+    calls = []
+
+    def counting_ranks(perms, idx):
+        calls.append(np.array(perms).tolist())
+        return _permuted_ranks(perms, idx)
+
+    monkeypatch.setattr(recovery, "_permuted_ranks", counting_ranks)
+    for seed in range(3):
+        perm = np.random.default_rng(seed).permutation(8)
+        dense = generic_sample(pattern, rng=seed).to_dense()[np.ix_(*[perm] * 4)]
+        calls.clear()
+        order = _regroup(dense, mask)
+        assert len(calls) > 1  # some transposition was taken, so a second pass ran
+        assert [len(candidates) for candidates in calls] == [math.comb(8, 2)] * len(calls)
+        # the order each pass starts from, read back from its swap of positions 0 and 1
+        bases = [candidates[0][1::-1] + candidates[0][2:] for candidates in calls]
+        assert bases[0] == list(range(8)) and bases[-1] == order
+        for k, (base, candidates) in enumerate(zip(bases, calls)):
+            assert candidates == list(_transpositions(base))
+            assert k + 1 == len(calls) or bases[k + 1] in candidates
+
+
+def test_regroup_transpositions_end_at_a_local_optimum():
+    # rotated members: no order reaches zero, so each comparison is a real one
+    patterns = [
+        pattern_from_partition(PartitionSpec(8, ((1, 2), (3, 4, 5), (6, 7, 8))), 4),
+        pattern_from_partition(PartitionSpec(8, ((1, 2, 3), (4, 5, 6, 7, 8))), 4),
+        pattern_from_graph(IndependenceGraph(8, [(v, v + 1) for v in range(1, 8)]), 4),
+    ]
+    for pattern in patterns:
+        mask = pattern.dense_zero_mask()
+        for seed in range(2):
+            dense = multilinear_transform(random_orthogonal(8, seed), generic_sample(pattern, rng=seed)).to_dense()
+            order = _regroup(dense, mask)
+            energy = _dense_energy(dense[np.ix_(*[order] * 4)], mask)
+            for swapped in _transpositions(order):
+                assert energy - _dense_energy(dense[np.ix_(*[swapped] * 4)], mask) <= _SWAP_RTOL * energy
 
 
 def test_reflectional_stabilizer_is_signed_permutation_group():
@@ -735,4 +799,6 @@ def test_recovery_options_validation():
         RecoveryOptions(order=2)
     with pytest.raises(ValueError, match="restarts"):
         RecoveryOptions(restarts=0)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        RecoveryOptions(seed=-1)
 

@@ -371,6 +371,14 @@ def test_json_round_trip_and_colex_order(tmp_path):
     assert load_tensor(path).allclose(t, 0.0)
 
 
+def test_json_refuses_non_finite_values_before_writing(tmp_path):
+    path = tmp_path / "t.json"
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_tensor(tensor_from_entries(2, 2, [((1, 2), value)]), path)
+        assert not path.exists()
+
+
 def test_json_omits_zero_entries():
     t = tensor_from_entries(2, 3, [((1, 2), 4.0)])
     obj = tensor_to_json(t)
