@@ -22,6 +22,14 @@ def _path_key(part: int | str) -> int:
     return int(part) & 0xFFFFFFFF
 
 
+def _seed(seed: int) -> int:
+    """``seed`` as an int, refused if negative, as ``SeedSequence`` would refuse it without naming it."""
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def substream(seed: int, *path: int | str) -> np.random.Generator:
     """Generator for the stream identified by ``seed`` and ``path``.
 
@@ -30,14 +38,14 @@ def substream(seed: int, *path: int | str) -> np.random.Generator:
     generator producing identical output.
     """
     key = tuple(_path_key(p) for p in path)
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    return np.random.default_rng(np.random.SeedSequence(_seed(seed), spawn_key=key))
 
 
 def as_generator(rng: int | np.random.Generator) -> np.random.Generator:
     """Coerce an integer seed or an existing generator to a generator."""
     if isinstance(rng, np.random.Generator):
         return rng
-    return np.random.default_rng(int(rng))
+    return np.random.default_rng(_seed(rng))
 
 
 def child_generators(rng: int | np.random.Generator, count: int) -> list[np.random.Generator]:
@@ -49,4 +57,4 @@ def child_generators(rng: int | np.random.Generator, count: int) -> list[np.rand
     if isinstance(rng, np.random.Generator):
         seeds = rng.integers(0, 2**63 - 1, size=count)
         return [np.random.default_rng(int(s)) for s in seeds]
-    return [substream(int(rng), i) for i in range(count)]
+    return [substream(rng, i) for i in range(count)]

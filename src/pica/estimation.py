@@ -5,15 +5,13 @@ row.  Estimators are plug-in (divide by n): this keeps the multilinear
 identity kappa_r(X A^T) = A . kappa_r(X) exact at the sample level, at
 the cost of bias that is irrelevant at desk scale.
 
-Moments of all orders come from one depth-first walk over the
-non-decreasing index tuples, each product column extending its parent's by
-one column.  That is the left-to-right product x_{i_1} x_{i_2} ... x_{i_k}
-with the same roundings as multiplying the columns one after another, and
-each mean is numpy's pairwise sum over one contiguous column divided by n,
-the bits of ``mean()``.  Neither
-depends on the walk order or on the input's memory layout, so results are
-bit-reproducible; a parallel or row-blocked implementation would need a
-fixed block schedule to keep that property.
+Moments of all orders come from BLAS matrix products of column-product
+rows, summed over fixed blocks of observations in a fixed order (see
+``sample_moments``).  Each product is small enough that OpenBLAS runs it on
+one thread, and the rows are copies whatever the input's memory layout, so
+results are bit-reproducible for a given numpy and BLAS build, whatever its
+thread count.  They match the exact mean to within the rounding of k - 1
+products and a sum of n terms.
 """
 
 from __future__ import annotations
@@ -24,11 +22,12 @@ import lzma
 import os
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .partitions import _check_conversion_budget, moments_to_cumulants
-from .tensor import SymmetricTensor, _check_shape, canonical_indices
+from .tensor import SymmetricTensor, _check_shape, _colex_ranks, canonical_indices, num_entries
 
 __all__ = [
     "DegenerateDataError",
@@ -51,6 +50,14 @@ EPS_PD_RATIO = 1e-10
 _CSV_BLOCK_ROWS = 1024
 # Suffixes that np.loadtxt (read_csv) decompresses, compressed on write as np.savetxt does.
 _CSV_OPENERS = {".gz": gzip.open, ".bz2": bz2.open, ".xz": lzma.open}
+# Observations per moment block: about 256 KB of product rows, at least 64; 4 KB- and 4 MB-scale blocks were slower.
+_BLOCK_ENTRIES = 2**15
+_BLOCK_ROWS_MIN = 64
+# Multiply-adds per BLAS product: OpenBLAS runs a product of at most 65536 * 4 on one thread, so the sums do
+# not depend on its thread count (larger ones split across threads and round differently).
+_PRODUCT_MACS = 2**18
+# Sums held at a time, 16 MB: more take one more pass over the data each (3 at r = 8, d = 21).
+_GRAM_ENTRIES = 2**21
 
 
 class DegenerateDataError(ValueError):
@@ -71,40 +78,106 @@ def as_sample_matrix(x) -> np.ndarray:
 def sample_moments(x: np.ndarray, r: int) -> list[SymmetricTensor]:
     """Raw moment tensors of orders 1..r: entry (i_1..i_k) = mean of column products.
 
-    One depth-first walk visits every non-decreasing tuple of length at most
-    r once, each length in lex order; a tuple's product column is its
-    parent's times column i_k, kept in one preallocated row per depth.
-    Column sums are gathered in walk (lex) order and each order is divided
-    by n at once; sorting the colex rows into lex order gives each its colex
-    rank.
+    The order-k entry at t sums the products of the product rows of its
+    upper part p = t[floor(k/2):] and lower part s = t[:floor(k/2)], and
+    max(s) <= min(p).  For each fixed block of rows, Z holds the product
+    rows of every sorted tuple of length at most ceil(r/2), each its
+    parent's times one column.  P takes the nonempty ones grouped by least
+    index u, S those of length at most floor(r/2) ordered by greatest
+    index, so group u of P times the first C(u + floor(r/2), floor(r/2))
+    rows of S holds every entry whose upper part starts at u.  The blocks
+    and the BLAS products within them are summed in a fixed order.
     """
     x = as_sample_matrix(x)
     n, d = x.shape
     _check_shape(r, d)
-    cols = np.ascontiguousarray(x.T)
-    # rows[k]: product column of the current (k+1)-prefix; order 1 reads a column of the copy
-    rows = [None, *np.empty((r - 1, n))]
-    walked = [[] for _ in range(r)]
-    _walk(cols, rows, walked, None, 0, 0)
-    out = []
-    for k, sums in enumerate(walked, start=1):
-        vals = np.empty(len(sums))
-        # the sums over n, as row.mean() divides them
-        vals[np.lexsort(canonical_indices(d, k).T[::-1])] = np.divide(sums, n)
-        out.append(SymmetricTensor(k, d, vals))
-    return out
+    rows, lengths, s_rows, p_rows, passes, flat, order = _moment_plan(d, r)
+    z = np.empty((rows, min(n, max(_BLOCK_ROWS_MIN, _BLOCK_ENTRIES // rows))))
+    z[0] = 1.0
+    zs, zp = np.empty((len(s_rows), z.shape[1])), np.empty((len(p_rows), z.shape[1]))
+    product = np.empty(_PRODUCT_MACS)
+    sums = np.empty(len(flat))
+    for calls, lo, hi in passes:
+        acc = np.zeros(hi - lo)
+        for start in range(0, n, z.shape[1]):
+            block = x[start : start + z.shape[1]]
+            z[1 : d + 1, : len(block)] = block.T
+            # the last block is filled up with zero observations, whose products add nothing
+            z[1 : d + 1, len(block) :] = 0.0
+            for at, parents, lasts in lengths:
+                np.multiply(z[parents], z[lasts], out=z[at : at + len(parents)])
+            np.take(z, s_rows, axis=0, out=zs, mode="clip")
+            np.take(z, p_rows, axis=0, out=zp, mode="clip")
+            for p_lo, p_hi, cols, at in calls:
+                g = acc[at : at + (p_hi - p_lo) * cols].reshape(p_hi - p_lo, cols)
+                out = product[: g.size].reshape(g.shape)
+                # observations per product, so that BLAS runs it on one thread
+                step = _PRODUCT_MACS // g.size
+                for c in range(0, z.shape[1], step):
+                    g += np.matmul(zp[p_lo:p_hi, c : c + step], zs[:cols, c : c + step].T, out=out)
+        s, e = np.searchsorted(flat, [lo, hi])
+        sums[order[s:e]] = acc[flat[s:e] - lo]
+    cuts = np.cumsum([num_entries(d, k) for k in range(1, r)])
+    return [SymmetricTensor(k, d, vals) for k, vals in enumerate(np.split(np.divide(sums, n), cuts), start=1)]
 
 
-def _walk(cols, rows, walked, prefix, first, k):
-    """Append the sums of the product columns below ``prefix``, depth first, to walked[k], walked[k + 1], ...
+@lru_cache(maxsize=16)
+def _moment_plan(d: int, r: int) -> tuple:
+    """Where ``sample_moments`` builds its product rows and reads each moment's sum.
 
-    Not a closure: one that calls itself is a reference cycle, which keeps ``cols`` and ``rows`` alive until collected.
+    Z's rows are the sorted tuples of length 0..ceil(r/2), by length and
+    colex within one.  ``lengths`` holds, for each length from 2, its first
+    Z row and the Z rows of each tuple's prefix and of its last value.
+    ``s_rows`` and ``p_rows`` are the Z rows of S and P in their orders.
+    Each pass sums entries lo..hi; each of its calls (P rows p_lo..p_hi
+    times the first ``cols`` rows of S) starts at entry lo + at.  ``flat``
+    is each moment's entry, ascending, and ``order`` its position among the
+    orders 1..r laid end to end.
     """
-    for v in range(first, len(cols)):
-        row = cols[v] if k == 0 else np.multiply(prefix, cols[v], out=rows[k])
-        walked[k].append(np.add.reduce(row))
-        if k + 1 < len(walked):
-            _walk(cols, rows, walked, row, v, k + 1)
+    high, low = (r + 1) // 2, r // 2
+    idxs = [canonical_indices(d, m) for m in range(1, r + 1)]
+    starts = np.cumsum([0] + [num_entries(d, m) for m in range(high + 1)])
+    lengths = [
+        (int(starts[m]), starts[m - 1] + _colex_ranks(idxs[m - 1][:, :-1]), idxs[m - 1][:, -1])
+        for m in range(2, high + 1)
+    ]
+    # each Z row's length, least and greatest index (0 for the empty tuple)
+    length = np.repeat(np.arange(high + 1), np.diff(starts))
+    least, greatest = (np.concatenate([[0], *(idxs[m - 1][:, end] for m in range(1, high + 1))]) for end in (0, -1))
+    # stable sorts: by length and colex within each greatest or least index
+    s_rows = np.lexsort((length, greatest))
+    s_rows = s_rows[length[s_rows] <= low]
+    p_rows = np.lexsort((length, least))[1:]
+    calls, cuts = [], np.searchsorted(least[p_rows], np.arange(1, d + 2))
+    for u in range(1, d + 1):
+        cols = num_entries(u + 1, low)
+        # each product holds at most _PRODUCT_MACS sums, so takes at least one observation
+        tile = max(1, _PRODUCT_MACS // cols)
+        calls += [(p, min(p + tile, cuts[u]), cols) for p in range(cuts[u - 1], cuts[u], tile)]
+    passes = [([], 0, 0)]
+    for p_lo, p_hi, cols in calls:
+        group, lo, hi = passes.pop()
+        if group and hi - lo + (p_hi - p_lo) * cols > _GRAM_ENTRIES:
+            passes.append((group, lo, hi))
+            group, lo = [], hi
+        passes.append((group + [(p_lo, p_hi, cols, hi - lo)], lo, hi + (p_hi - p_lo) * cols))
+    # each moment's P row, S row and call
+    p_pos, s_pos = np.empty(starts[-1], dtype=np.int64), np.empty(starts[-1], dtype=np.int64)
+    p_pos[p_rows], s_pos[s_rows] = np.arange(len(p_rows)), np.arange(len(s_rows))
+    call_lo, _, call_cols = np.array(calls).T
+    call_at = np.cumsum([0] + [(p_hi - p_lo) * cols for p_lo, p_hi, cols in calls])
+    flat = []
+    for k, idx in enumerate(idxs, start=1):
+        prow = p_pos[starts[k - k // 2] + _colex_ranks(idx[:, k // 2 :])]
+        scol = s_pos[starts[k // 2] + _colex_ranks(idx[:, : k // 2])]
+        call = np.searchsorted(call_lo, prow, side="right") - 1
+        flat.append(call_at[call] + (prow - call_lo[call]) * call_cols[call] + scol)
+    flat = np.concatenate(flat)
+    order = np.argsort(flat)
+    flat = flat[order]
+    for array in (flat, order):
+        array.flags.writeable = False
+    return int(starts[-1]), lengths, s_rows, p_rows, passes, flat, order
 
 
 def sample_moment(x: np.ndarray, r: int) -> SymmetricTensor:

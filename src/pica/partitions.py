@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 # Refuse more sub-tuple entries, C(d+r-1, r) * (2^r - 1), before anything is built.  This bounds the
-# whole estimate's memory, about 250 B per unique entry: 92 MB RSS at d = 14, r = 8, about 1 GB at d = 21.
+# whole estimate's memory, 160-200 B per unique entry: 76 MB RSS at d = 14, r = 8, 547 MB at d = 21.
 MAX_CONVERSION_ENTRIES = 2**26
 # Products formed at a time: all 2^(k-1) - 1 of as many order-k tuples as fit, at least one.
 _BLOCK_ENTRIES = 2**16

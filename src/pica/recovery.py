@@ -33,7 +33,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import _json
-from ._rng import substream
+from ._rng import _seed, substream
 from .estimation import sample_cumulant, whiten
 from .groups import (
     BlockStructure,
@@ -100,8 +100,7 @@ class RecoveryOptions:
             raise ValueError(f"cumulant order must be >= 3, got {self.order}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _seed(self.seed)
 
 
 def off_pattern_energy(tensor: SymmetricTensor, pattern: ZeroPattern) -> float:
@@ -462,6 +461,19 @@ class IdentifiabilityReport:
     block_orthogonal_distance: list[float]
 
 
+def _check_truth(a_true: np.ndarray, d: int) -> np.ndarray:
+    """The ground-truth mixing matrix as floats, refused unless it is a finite, non-singular d x d matrix."""
+    a_true = np.asarray(a_true, dtype=float)
+    if a_true.shape != (d, d):
+        raise ValueError(f"ground-truth mixing matrix shape {a_true.shape} != ({d}, {d})")
+    if not np.isfinite(a_true).all():
+        raise ValueError("ground-truth mixing matrix contains non-finite values")
+    # the rank is scale-free
+    if np.linalg.matrix_rank(a_true) < d:
+        raise ValueError("ground-truth mixing matrix is singular")
+    return a_true
+
+
 def verify_identifiability(w: np.ndarray, a_true: np.ndarray, structure: BlockStructure) -> IdentifiabilityReport:
     """Coset residual of W A_true against the block-orthogonal group.
 
@@ -472,12 +484,9 @@ def verify_identifiability(w: np.ndarray, a_true: np.ndarray, structure: BlockSt
     a_true = np.asarray(a_true, dtype=float)
     if w.shape != a_true.shape:
         raise ValueError(f"unmixing matrix shape {w.shape} != ground-truth mixing matrix shape {a_true.shape}")
-    for name, matrix in (("unmixing", w), ("ground-truth mixing", a_true)):
-        if not np.isfinite(matrix).all():
-            raise ValueError(f"{name} matrix contains non-finite values")
-    # the rank is scale-free
-    if np.linalg.matrix_rank(a_true) < len(a_true):
-        raise ValueError("ground-truth mixing matrix is singular")
+    if not np.isfinite(w).all():
+        raise ValueError("unmixing matrix contains non-finite values")
+    _check_truth(a_true, len(w))
     # a product that overflows is refused by coset_residual
     with np.errstate(over="ignore", invalid="ignore"):
         product = w @ a_true
@@ -510,9 +519,12 @@ def comon_pipeline(
     y = np.asarray(y, dtype=float)
     pattern = diagonal_pattern(y.shape[1], opts.order)
     singles = None if a_true is None else BlockStructure((1,) * y.shape[1])
+    a_true = None if a_true is None else _check_truth(a_true, y.shape[1])
     report = estimate_unmixing(y, pattern, opts)
     if a_true is not None:
-        product = report.unmixing @ np.asarray(a_true, dtype=float)
+        # a product that overflows is refused by nearest_signed_permutation
+        with np.errstate(over="ignore", invalid="ignore"):
+            product = report.unmixing @ a_true
         _, deviation = nearest_signed_permutation(product)
         report.extras["signed_permutation_deviation"] = deviation
         report.extras["is_signed_permutation"] = bool(

@@ -420,6 +420,27 @@ def test_negative_seed_exits_two_before_any_work(workdir, capsys, monkeypatch):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "probe"])
+def test_simulate_and_probe_refuse_a_negative_seed_before_any_draw(workdir, capsys, monkeypatch, command):
+    spec = write_spec(workdir / "spec.json", SourceSpec("partitioned", 4, "uniform", blocks=((1, 2), (3, 4))))
+    graph = workdir / "graph.json"
+    graph.write_text(json.dumps({"d": 3, "edges": [[1, 2], [1, 3]]}))
+    out = workdir / "out"
+    argv = {
+        "simulate": ["simulate", "--spec", spec, "--n", "50", "--seed", "-1", "--out", str(out)],
+        "probe": ["probe", "--graph", str(graph), "--order", "3", "--trials", "2", "--seed", "-1", "--out", str(out)],
+    }[command]
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a negative seed reached a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    capsys.readouterr()
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err.strip().splitlines() == ["pica: invalid input: seed must be >= 0, got -1"]
+    assert not out.exists()
+
+
 def test_verify_overflow_prints_one_line(workdir, capsys):
     data, pattern_path, report_path = workdir / "data.csv", workdir / "p.json", workdir / "r.json"
     write_csv(data, np.random.default_rng(0).standard_normal((50, 4)))

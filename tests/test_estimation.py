@@ -1,13 +1,19 @@
 import gc
-import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pica import estimation
 from pica.estimation import (
     _CSV_BLOCK_ROWS,
     DegenerateDataError,
@@ -29,48 +35,93 @@ from pica.tensor import (
 )
 
 
-def reference_moment(x, r):
-    """Per-entry product loop: each column product rebuilt from scratch, left to right."""
-    idxs = sorted(itertools.combinations_with_replacement(range(1, x.shape[1] + 1), r), key=lambda t: t[::-1])
-    vals = np.empty(len(idxs))
-    for rank, idx in enumerate(idxs):
-        prod = x[:, idx[0] - 1].copy()
-        for col in idx[1:]:
-            prod *= x[:, col - 1]
-        vals[rank] = prod.mean()
-    return vals
+def exact_moments(x, r):
+    """Every moment of orders 1..r as an exact Fraction, and the exact mean of |products|, in colex order."""
+    n, d = x.shape
+    rows = {(): [Fraction(1)] * n}
+    exact, scale = [], []
+    for k in range(1, r + 1):
+        for idx in canonical_indices(d, k):
+            t = tuple(int(i) for i in idx)
+            rows[t] = [p * Fraction(float(v)) for p, v in zip(rows[t[:-1]], x[:, t[-1] - 1])]
+            exact.append(sum(rows[t]) / n)
+            scale.append(sum(map(abs, rows[t])) / n)
+    return exact, scale
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 5),
-    st.integers(1, 8),
-    st.integers(1, 40),
-    st.sampled_from(["C", "F", "slice"]),
-    st.integers(0, 2**32 - 1),
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 8), st.integers(1, 40), st.booleans(), st.integers(0, 2**32 - 1))
+@example(5, 8, 40, True, 0)
+@example(1, 1, 1, False, 1)
+def test_moments_match_exact_means_within_rounding(d, r, n, split, seed):
+    # An order-k mean rounds k - 1 products, at most 2n additions over the
+    # rows and the blocks, and one division: within (k + 2n + 1) u of the
+    # mean of |products|, u = 2^-53.  Split, each BLAS product holds at most
+    # 128 multiply-adds and each pass one product.
+    x = np.random.default_rng(seed).standard_normal((n, d))
+    limits = (128, 1) if split else (estimation._PRODUCT_MACS, estimation._GRAM_ENTRIES)
+    estimation._moment_plan.cache_clear()
+    try:
+        with mock.patch.multiple(estimation, _PRODUCT_MACS=limits[0], _GRAM_ENTRIES=limits[1]):
+            got = np.concatenate([m.values for m in sample_moments(x, r)])
+    finally:
+        estimation._moment_plan.cache_clear()
+    exact, scale = exact_moments(x, r)
+    orders = np.concatenate([np.full(math.comb(d + k - 1, k), k) for k in range(1, r + 1)])
+    for value, mean, mean_abs, k in zip(got, exact, scale, orders):
+        assert abs(Fraction(float(value)) - mean) <= (k + 2 * n + 1) * Fraction(2) ** -53 * mean_abs, (k, value)
+
+
+# (d, r, n): one row; fewer rows than one block; a last block shorter than the others, at
+# d = 13, r = 8 in blocks of 64 rows (2380 product rows, 13 products per block).
+_BLOCK_ROWS = max(estimation._BLOCK_ROWS_MIN, estimation._BLOCK_ENTRIES // math.comb(3 + 3, 3))
+
+
+@pytest.mark.parametrize(
+    "d, r, n", [(3, 6, 1), (3, 6, _BLOCK_ROWS // 2), (3, 5, 2 * _BLOCK_ROWS + 5), (13, 8, 70)]
 )
-@example(1, 8, 1, "C", 0)
-@example(5, 8, 1, "slice", 1)
-@example(3, 4, 3, "F", 2)
-def test_walk_matches_per_entry_reference_bit_for_bit(d, r, n, layout, seed):
-    wide = np.random.default_rng(seed).standard_normal((n, d + 2))
-    x = {"C": np.ascontiguousarray(wide[:, :d]), "F": np.asfortranarray(wide[:, :d]), "slice": wide[:, 1 : d + 1]}[layout]
-    moments = sample_moments(x, r)
-    assert [m.order for m in moments] == list(range(1, r + 1))
-    for k, m in enumerate(moments, start=1):
-        assert np.array_equal(m.values, reference_moment(x, k)), (k, layout)
+def test_moments_are_bit_identical_across_layouts_and_calls(d, r, n):
+    x = np.random.default_rng(n).standard_normal((n, d))
+    wide = np.zeros((n, d + 2))
+    wide[:, 1 : d + 1] = x
+    bits = [
+        b"".join(m.values.tobytes() for m in sample_moments(layout, r))
+        for layout in (x, np.asfortranarray(x), wide[:, 1 : d + 1], x)
+    ]
+    assert bits[1:] == bits[:-1]
+
+
+_THREADS_SCRIPT = """
+import hashlib, numpy as np
+from pica.estimation import sample_moments
+sha = hashlib.sha256()
+for d, r, n in ((4, 8, 20000), (8, 4, 5000), (13, 8, 70)):
+    for m in sample_moments(np.random.default_rng(d).standard_normal((n, d)), r):
+        sha.update(m.values.tobytes())
+print(sha.hexdigest())
+"""
+
+
+def test_moments_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(estimation.__file__).resolve().parent.parent)
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env, capture_output=True, text=True, check=True)
+        digests.append(run.stdout)
+    assert digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("d", [1, 3])
-def test_walk_divides_raw_sums_as_mean_does_at_one_row(d):
-    # at n = 1 each sum is the product itself, signed zeros included
+def test_one_row_moments_are_the_row_products(d):
+    # at n = 1 each sum is the product itself; the BLAS sums start from +0.0, so zeros lose their sign
     x = np.array([[-0.0, 1.5, -3.0][:d]])
-    for k, m in enumerate(sample_moments(x, 8), start=1):
-        assert m.values.tobytes() == reference_moment(x, k).tobytes()
+    exact, _ = exact_moments(x, 8)
+    assert np.concatenate([m.values for m in sample_moments(x, 8)]).tolist() == [float(v) for v in exact]
 
 
 def test_sample_moments_leave_no_reference_cycle():
-    # a cycle would hold the (n, d) column copy and the product rows until the collector runs
+    # a cycle would hold the product rows and the sums until the collector runs
     x = np.random.default_rng(0).standard_normal((1000, 3))
     gc.collect()
     gc.disable()

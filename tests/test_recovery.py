@@ -176,6 +176,22 @@ def test_comon_pipeline_refuses_too_many_sources_before_recovering(monkeypatch):
         comon_pipeline(np.zeros((20, 9)), a_true=np.eye(9))
 
 
+@pytest.mark.filterwarnings("error")
+def test_comon_pipeline_checks_the_truth_before_recovering(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("estimate_unmixing ran before the ground truth was checked")
+
+    monkeypatch.setattr(recovery, "estimate_unmixing", fail)
+    y = np.random.default_rng(0).standard_normal((50, 3))
+    for a_true, message in (
+        (np.full((3, 3), np.inf), "^ground-truth mixing matrix contains non-finite values$"),
+        (np.eye(2), r"^ground-truth mixing matrix shape \(2, 2\) != \(3, 3\)$"),
+        (np.ones((3, 3)), "^ground-truth mixing matrix is singular$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            comon_pipeline(y, RecoveryOptions(restarts=1), a_true=a_true)
+
+
 def test_pica_recovery_and_block_classification():
     spec = PartitionSpec(4, ((1, 2), (3, 4)))
     sources = gen_partitioned_sources(100_000, spec, "uniform", 17)
