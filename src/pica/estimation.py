@@ -53,9 +53,14 @@ _CSV_OPENERS = {".gz": gzip.open, ".bz2": bz2.open, ".xz": lzma.open}
 # Observations per moment block: about 256 KB of product rows, at least 64; 4 KB- and 4 MB-scale blocks were slower.
 _BLOCK_ENTRIES = 2**15
 _BLOCK_ROWS_MIN = 64
-# Multiply-adds per BLAS product: OpenBLAS runs a product of at most 65536 * 4 on one thread, so the sums do
-# not depend on its thread count (larger ones split across threads and round differently).
+# Multiply-adds per BLAS product: OpenBLAS runs a matrix product of at most 65536 * 4 on one thread, and a
+# matrix-vector product or a dot (a one-row or one-column result) of fewer than 2304 * 4, so the sums do not
+# depend on its thread count (larger ones split across threads and round differently).
 _PRODUCT_MACS = 2**18
+_VECTOR_MACS = 2**13
+# Observations per product where the sums allow: with fewer, each product is a memory-bound update of all its sums
+# (at d = 18, r = 8, one took ten times as long); 16 was fastest or near it at d = 14 and 18, r = 8 and d = 98, r = 4.
+_PRODUCT_OBS = 16
 # Sums held at a time, 16 MB: more take one more pass over the data each (3 at r = 8, d = 21).
 _GRAM_ENTRIES = 2**21
 
@@ -85,8 +90,9 @@ def sample_moments(x: np.ndarray, r: int) -> list[SymmetricTensor]:
     parent's times one column.  P takes the nonempty ones grouped by least
     index u, S those of length at most floor(r/2) ordered by greatest
     index, so group u of P times the first C(u + floor(r/2), floor(r/2))
-    rows of S holds every entry whose upper part starts at u.  The blocks
-    and the BLAS products within them are summed in a fixed order.
+    rows of S holds every entry whose upper part starts at u; a wide group
+    is cut into tiles of rows.  The blocks and the BLAS products within
+    them are summed in a fixed order.
     """
     x = as_sample_matrix(x)
     n, d = x.shape
@@ -95,7 +101,7 @@ def sample_moments(x: np.ndarray, r: int) -> list[SymmetricTensor]:
     z = np.empty((rows, min(n, max(_BLOCK_ROWS_MIN, _BLOCK_ENTRIES // rows))))
     z[0] = 1.0
     zs, zp = np.empty((len(s_rows), z.shape[1])), np.empty((len(p_rows), z.shape[1]))
-    product = np.empty(_PRODUCT_MACS)
+    product = np.empty(max((p_hi - p_lo) * cols for calls, _, _ in passes for p_lo, p_hi, cols, _ in calls))
     sums = np.empty(len(flat))
     for calls, lo, hi in passes:
         acc = np.zeros(hi - lo)
@@ -111,8 +117,8 @@ def sample_moments(x: np.ndarray, r: int) -> list[SymmetricTensor]:
             for p_lo, p_hi, cols, at in calls:
                 g = acc[at : at + (p_hi - p_lo) * cols].reshape(p_hi - p_lo, cols)
                 out = product[: g.size].reshape(g.shape)
-                # observations per product, so that BLAS runs it on one thread
-                step = _PRODUCT_MACS // g.size
+                # observations per product, so that BLAS runs it on one thread; one observation's is exact
+                step = max(1, (_PRODUCT_MACS if min(g.shape) > 1 else _VECTOR_MACS) // g.size)
                 for c in range(0, z.shape[1], step):
                     g += np.matmul(zp[p_lo:p_hi, c : c + step], zs[:cols, c : c + step].T, out=out)
         s, e = np.searchsorted(flat, [lo, hi])
@@ -151,9 +157,11 @@ def _moment_plan(d: int, r: int) -> tuple:
     calls, cuts = [], np.searchsorted(least[p_rows], np.arange(1, d + 2))
     for u in range(1, d + 1):
         cols = num_entries(u + 1, low)
-        # each product holds at most _PRODUCT_MACS sums, so takes at least one observation
-        tile = max(1, _PRODUCT_MACS // cols)
-        calls += [(p, min(p + tile, cuts[u]), cols) for p in range(cuts[u - 1], cuts[u], tile)]
+        # tiles of P rows whose products take _PRODUCT_OBS observations, and at least two rows where the group
+        # has them: a one-row product is a matrix-vector one, which takes fewer
+        tile = max(2, _PRODUCT_MACS // (cols * _PRODUCT_OBS))
+        firsts = range(cuts[u - 1], max(cuts[u - 1] + 1, cuts[u] - 1), tile)
+        calls += [(p, q, cols) for p, q in zip(firsts, [*firsts[1:], cuts[u]])]
     passes = [([], 0, 0)]
     for p_lo, p_hi, cols in calls:
         group, lo, hi = passes.pop()

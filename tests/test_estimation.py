@@ -56,8 +56,8 @@ def exact_moments(x, r):
 def test_moments_match_exact_means_within_rounding(d, r, n, split, seed):
     # An order-k mean rounds k - 1 products, at most 2n additions over the
     # rows and the blocks, and one division: within (k + 2n + 1) u of the
-    # mean of |products|, u = 2^-53.  Split, each BLAS product holds at most
-    # 128 multiply-adds and each pass one product.
+    # mean of |products|, u = 2^-53.  Split, each BLAS product takes at most
+    # 128 multiply-adds or one observation, and each pass one tile of them.
     x = np.random.default_rng(seed).standard_normal((n, d))
     limits = (128, 1) if split else (estimation._PRODUCT_MACS, estimation._GRAM_ENTRIES)
     estimation._moment_plan.cache_clear()
@@ -73,7 +73,7 @@ def test_moments_match_exact_means_within_rounding(d, r, n, split, seed):
 
 
 # (d, r, n): one row; fewer rows than one block; a last block shorter than the others, at
-# d = 13, r = 8 in blocks of 64 rows (2380 product rows, 13 products per block).
+# d = 13, r = 8 in blocks of 64 rows (2380 product rows, 84 products per block).
 _BLOCK_ROWS = max(estimation._BLOCK_ROWS_MIN, estimation._BLOCK_ENTRIES // math.comb(3 + 3, 3))
 
 
@@ -91,11 +91,12 @@ def test_moments_are_bit_identical_across_layouts_and_calls(d, r, n):
     assert bits[1:] == bits[:-1]
 
 
+# r = 1 and 2 reach BLAS dots and matrix-vector products, which OpenBLAS threads at other sizes than matrix products
 _THREADS_SCRIPT = """
 import hashlib, numpy as np
 from pica.estimation import sample_moments
 sha = hashlib.sha256()
-for d, r, n in ((4, 8, 20000), (8, 4, 5000), (13, 8, 70)):
+for d, r, n in ((1, 1, 20000), (2, 1, 20000), (1, 2, 20000), (2, 2, 20000), (4, 8, 20000), (8, 4, 5000), (13, 8, 70)):
     for m in sample_moments(np.random.default_rng(d).standard_normal((n, d)), r):
         sha.update(m.values.tobytes())
 print(sha.hexdigest())
