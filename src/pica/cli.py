@@ -55,11 +55,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--spec", required=True, help="SourceSpec JSON path")
     p.add_argument("--n", required=True, type=int, help="number of samples")
     p.add_argument("--seed", required=True, type=int)
-    p.add_argument("--out", required=True, help="output CSV path")
+    p.add_argument("--out", required=True, help="output CSV path; one ending in .npy gets binary np.save output, not text")
 
     p = sub.add_parser("cumulants", help="sample cumulant tensor from CSV data")
     p.set_defaults(handler=_cmd_cumulants)
-    p.add_argument("--in", dest="infile", required=True, help="input CSV path")
+    p.add_argument("--in", dest="infile", required=True, help="input CSV path, or a .npy file, which is memory-mapped")
     p.add_argument("--order", required=True, type=int)
     p.add_argument("--out", required=True, help="output tensor JSON path")
 
@@ -71,7 +71,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("recover", help="estimate the unmixing matrix")
     p.set_defaults(handler=_cmd_recover)
-    p.add_argument("--in", dest="infile", required=True, help="input CSV path")
+    p.add_argument("--in", dest="infile", required=True, help="input CSV path, or a .npy file, which is memory-mapped")
     p.add_argument("--pattern", required=True, help="pattern JSON path")
     p.add_argument("--order", type=int, default=4)
     p.add_argument("--restarts", type=int, default=8)

@@ -1,4 +1,4 @@
-"""Empirical moments and cumulants, centering, whitening.
+"""Empirical moments and cumulants, centering, whitening, data files.
 
 Sample matrices are plain (n, d) float arrays with one observation per
 row.  Estimators are plug-in (divide by n): this keeps the multilinear
@@ -7,11 +7,18 @@ the cost of bias that is irrelevant at desk scale.
 
 Moments of all orders come from BLAS matrix products of column-product
 rows, summed over fixed blocks of observations in a fixed order (see
-``sample_moments``).  Each product is small enough that OpenBLAS runs it on
-one thread, and the rows are copies whatever the input's memory layout, so
-results are bit-reproducible for a given numpy and BLAS build, whatever its
-thread count.  They match the exact mean to within the rounding of k - 1
-products and a sum of n terms.
+``sample_moments``).  Whitening makes two passes over fixed blocks of rows,
+one for the mean and one for the centred Gram matrix, and whitens a block
+of rows with one product per block (``_rows_times``).  Each product is
+small enough that OpenBLAS runs it on one thread, and the rows are copies
+whatever the input's memory layout, so results are bit-reproducible for a
+given numpy and BLAS build, whatever its thread count.  Moments match the
+exact mean to within the rounding of k - 1 products and a sum of n terms.
+
+A recovery whitens each block of rows as the moment pass reaches it
+(``_whitened_cumulant``), so it holds the input and block-sized working
+memory, never a centred or whitened n x d copy; a ``.npy`` input is
+memory-mapped, not read.
 """
 
 from __future__ import annotations
@@ -69,15 +76,61 @@ class DegenerateDataError(ValueError):
     """Sample covariance is numerically rank deficient."""
 
 
-def as_sample_matrix(x) -> np.ndarray:
+def _as_matrix(x) -> np.ndarray:
+    """A non-empty 2-D float array; a float array's values are not read."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"sample matrix must be 2-D, got shape {x.shape}")
     if x.shape[0] < 1 or x.shape[1] < 1:
         raise ValueError(f"sample matrix must be non-empty, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("sample matrix contains non-finite values")
     return x
+
+
+def _check_finite(block: np.ndarray) -> None:
+    if not np.isfinite(block).all():
+        raise ValueError("sample matrix contains non-finite values")
+
+
+def as_sample_matrix(x) -> np.ndarray:
+    """A non-empty 2-D float array of finite values, checked a block of rows at a time."""
+    x = _as_matrix(x)
+    step = _product_rows(x.shape[1], x.shape[1])
+    for start in range(0, len(x), step):
+        _check_finite(x[start : start + step])
+    return x
+
+
+def _product_rows(d: int, e: int) -> int:
+    """Rows per product of an (m, d) and a (d, e) matrix: at most _PRODUCT_MACS multiply-adds, or _VECTOR_MACS
+    where the product is a matrix-vector one or a dot (d or e is 1), and at least two."""
+    return max(2, (_PRODUCT_MACS if min(d, e) > 1 else _VECTOR_MACS) // (d * e))
+
+
+def _rows_times(x: np.ndarray, a: np.ndarray, shift: np.ndarray | None = None, out=None) -> np.ndarray:
+    """(x - shift) @ a.T, a block of rows at a time, into ``out`` if given.
+
+    Each block is copied, so the layout of x does not matter, and its BLAS
+    product has at most ``_product_rows`` rows, so OpenBLAS runs it on one
+    thread, and at least two: a one-row product is a matrix-vector one,
+    which rounds differently.  So each row's bits are those of the same
+    row of one whole product of two or more rows, whatever block it is in.
+    """
+    n, d = x.shape
+    step = _product_rows(d, len(a))
+    out = np.empty((n, len(a))) if out is None else out
+    rows = np.zeros((max(2, min(n, step)), d))
+    for start in range(0, n, step):
+        block = x[start : start + step]
+        m = len(block)
+        if shift is None:
+            np.copyto(rows[:m], block)
+        else:
+            np.subtract(block, shift, out=rows[:m])
+        if m > 1:
+            np.matmul(rows[:m], a.T, out=out[start : start + m])
+        else:
+            out[start] = (rows[:2] @ a.T)[0]
+    return out
 
 
 def sample_moments(x: np.ndarray, r: int) -> list[SymmetricTensor]:
@@ -95,11 +148,22 @@ def sample_moments(x: np.ndarray, r: int) -> list[SymmetricTensor]:
     them are summed in a fixed order.
     """
     x = as_sample_matrix(x)
+    _check_shape(r, x.shape[1])
+    return _moments(x, r)
+
+
+def _moments(x: np.ndarray, r: int, affine: tuple[np.ndarray, np.ndarray] | None = None) -> list[SymmetricTensor]:
+    """``sample_moments`` of a checked matrix, or, with ``affine`` a (mean, transform) pair, of its whitened rows.
+
+    Each block of rows is then replaced by ``_rows_times(block, transform,
+    mean)``, whose rows are bit for bit those of ``whiten``'s ``whitened``,
+    so the moments are those of the whitened data with no copy of it.
+    """
     n, d = x.shape
-    _check_shape(r, d)
     rows, lengths, s_rows, p_rows, passes, flat, order = _moment_plan(d, r)
     z = np.empty((rows, min(n, max(_BLOCK_ROWS_MIN, _BLOCK_ENTRIES // rows))))
     z[0] = 1.0
+    white = None if affine is None else np.empty((z.shape[1], d))
     zs, zp = np.empty((len(s_rows), z.shape[1])), np.empty((len(p_rows), z.shape[1]))
     product = np.empty(max((p_hi - p_lo) * cols for calls, _, _ in passes for p_lo, p_hi, cols, _ in calls))
     sums = np.empty(len(flat))
@@ -107,6 +171,8 @@ def sample_moments(x: np.ndarray, r: int) -> list[SymmetricTensor]:
         acc = np.zeros(hi - lo)
         for start in range(0, n, z.shape[1]):
             block = x[start : start + z.shape[1]]
+            if affine is not None:
+                block = _rows_times(block, affine[1], affine[0], out=white[: len(block)])
             z[1 : d + 1, : len(block)] = block.T
             # the last block is filled up with zero observations, whose products add nothing
             z[1 : d + 1, len(block) :] = 0.0
@@ -202,8 +268,13 @@ def sample_cumulant(x: np.ndarray, r: int) -> SymmetricTensor:
     x = as_sample_matrix(x)
     _check_shape(r, x.shape[1])
     _check_conversion_budget(x.shape[1], r)
+    return _cumulant(x, r)
+
+
+def _cumulant(x: np.ndarray, r: int, affine: tuple[np.ndarray, np.ndarray] | None = None) -> SymmetricTensor:
+    """The last of ``moments_to_cumulants(_moments(x, r, affine))``, refused if it overflows a float."""
     with np.errstate(over="ignore", invalid="ignore"):
-        kappa = moments_to_cumulants(sample_moments(x, r))[-1]
+        kappa = moments_to_cumulants(_moments(x, r, affine))[-1]
     if not np.isfinite(kappa.values).all():
         raise ValueError(f"the order-{r} sample cumulant overflows a float; rescale the data")
     return kappa
@@ -235,22 +306,61 @@ def whiten(x: np.ndarray) -> WhiteningResult:
     Uses the eigendecomposition cov = V diag(w) V^T and the symmetric
     whitening matrix V diag(w)^(-1/2) V^T.  Raises DegenerateDataError
     when the smallest eigenvalue is at most EPS_PD_RATIO times the
-    largest.
+    largest.  ``whitened`` is built a block of rows at a time by
+    ``_rows_times``.
     """
-    xc, mean = center(x)
-    n = xc.shape[0]
-    cov = xc.T @ xc / n
-    w, v = np.linalg.eigh(cov)
+    x = _as_matrix(x)
+    mean, transform = _whitening(x)
+    return WhiteningResult(whitened=_rows_times(x, transform, mean), transform=transform, mean=mean)
+
+
+def _whitening(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``whiten``'s mean and transform, from two passes over fixed blocks of rows.
+
+    The first sums each block's rows, refusing a non-finite value; the
+    second sums the blocks' centred Gram matrices.  Each block is copied
+    first, so the sums do not depend on the layout of x, and each Gram
+    product has ``_product_rows`` rows, so OpenBLAS runs it on one thread.
+    """
+    n, d = x.shape
+    step = _product_rows(d, d)
+    rows = np.empty((min(n, step), d))
+    total = np.zeros(d)
+    for start in range(0, n, step):
+        block = rows[: min(step, n - start)]
+        np.copyto(block, x[start : start + step])
+        _check_finite(block)
+        total += block.sum(axis=0)
+    mean = total / n
+    gram, product = np.zeros((d, d)), np.empty((d, d))
+    for start in range(0, n, step):
+        block = rows[: min(step, n - start)]
+        np.subtract(x[start : start + step], mean, out=block)
+        gram += np.matmul(block.T, block, out=product)
+    w, v = np.linalg.eigh(gram / n)
     if w[-1] <= 0 or w[0] <= EPS_PD_RATIO * w[-1]:
         raise DegenerateDataError(
             f"covariance rank deficient: eigenvalues in [{w[0]:.3e}, {w[-1]:.3e}]"
         )
-    transform = (v * w**-0.5) @ v.T
-    return WhiteningResult(whitened=xc @ transform.T, transform=transform, mean=mean)
+    return mean, (v * w**-0.5) @ v.T
+
+
+def _whitened_cumulant(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, SymmetricTensor]:
+    """``whiten(x)``'s mean and transform, and ``sample_cumulant(whiten(x).whitened, r)`` bit for bit.
+
+    Two passes find the mean and transform; the moment pass then whitens
+    each block of rows as it reaches it, so no centred or whitened n x d
+    copy is built.  x is a 2-D float array whose shape has been checked;
+    ``_whitening`` checks its values.
+    """
+    mean, transform = _whitening(x)
+    return mean, transform, _cumulant(x, r, (mean, transform))
 
 
 def read_csv(path) -> np.ndarray:
-    """Headerless comma-separated observations, one row per sample."""
+    """Headerless comma-separated observations, one row per sample; a ``.npy`` file is memory-mapped, not read."""
+    if os.path.splitext(path)[1] == ".npy":
+        return as_sample_matrix(np.load(path, mmap_mode="r"))
     with warnings.catch_warnings():
         # an empty file is reported by as_sample_matrix, not by numpy's warning
         warnings.simplefilter("ignore", UserWarning)
@@ -261,11 +371,17 @@ def read_csv(path) -> np.ndarray:
 def write_csv(path, x: np.ndarray) -> None:
     """Comma-separated ``%.17g`` text, the bytes of ``np.savetxt(fmt="%.17g", delimiter=",")``.
 
-    One ``%`` format covers a block of rows at a time.
+    One ``%`` format covers a block of rows at a time.  A path ending in
+    ``.npy`` gets ``np.save``'s binary file instead.
     """
     x = as_sample_matrix(x)
+    suffix = os.path.splitext(path)[1]
+    if suffix == ".npy":
+        with open(path, "wb") as fh:
+            np.save(fh, x)
+        return
     row = ",".join(["%.17g"] * x.shape[1]) + "\n"
-    with _CSV_OPENERS.get(os.path.splitext(path)[1], open)(path, "wt") as fh:
+    with _CSV_OPENERS.get(suffix, open)(path, "wt") as fh:
         for start in range(0, x.shape[0], _CSV_BLOCK_ROWS):
             block = x[start:start + _CSV_BLOCK_ROWS]
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import _json
 from ._rng import _seed, substream
-from .estimation import sample_cumulant, whiten
+from .estimation import _as_matrix, _whitened_cumulant
 from .groups import (
     BlockStructure,
     coset_residual,
@@ -42,6 +42,7 @@ from .groups import (
     nearest_signed_permutation,
     random_orthogonal,
 )
+from .partitions import _check_conversion_budget
 from .patterns import ZeroPattern, _check_tensor_shape, diagonal_pattern
 from .tensor import (
     MAX_DENSE_ENTRIES,
@@ -423,25 +424,33 @@ class RecoveryReport:
 def estimate_unmixing(y: np.ndarray, pattern: ZeroPattern, opts: RecoveryOptions | None = None) -> RecoveryReport:
     """Center, whiten, and rotate to minimize off-pattern cumulant energy.
 
+    The cumulant is ``sample_cumulant(whiten(y).whitened, order)`` bit for
+    bit, but each block of rows is whitened as the moment pass reaches it,
+    so no centred or whitened copy of y is built.  The column count, the
+    cube budget and the conversion budget are checked before any pass over
+    the data.  The rotation search assumes uncorrelated sources: whitening
+    maps the sources' covariance to the identity only when it already is
+    one, as for partitioned sources but not, in general, for graph ones.
     The best restart objective wins, ties broken by lowest restart index.
     """
     opts = opts or RecoveryOptions()
     if pattern.order != opts.order:
         raise ValueError(f"pattern order {pattern.order} != requested cumulant order {opts.order}")
-    white = whiten(y)
-    if white.whitened.shape[1] != pattern.dim:
-        raise ValueError(f"pattern dim {pattern.dim} != data column count {white.whitened.shape[1]}")
-    mask = pattern.dense_zero_mask()  # refuses an over-budget cube before the moment pass
-    kappa = sample_cumulant(white.whitened, opts.order)
+    x = _as_matrix(y)
+    if x.shape[1] != pattern.dim:
+        raise ValueError(f"pattern dim {pattern.dim} != data column count {x.shape[1]}")
+    mask = pattern.dense_zero_mask()
+    _check_conversion_budget(pattern.dim, opts.order)
+    mean, transform, kappa = _whitened_cumulant(x, opts.order)
     results = _run_restarts(kappa.to_dense(), mask, opts)
     objectives = [energy for _, energy, _ in results]
     best = int(np.argmin(objectives))
     q_best = results[best][0]
     return RecoveryReport(
-        unmixing=q_best @ white.transform,
-        whitening=white.transform,
+        unmixing=q_best @ transform,
+        whitening=transform,
         rotation=q_best,
-        mean=white.mean,
+        mean=mean,
         objective=objectives[best],
         objective_per_restart=objectives,
         best_restart=best,

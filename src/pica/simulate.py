@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _json
 from ._rng import as_generator, child_generators
-from .estimation import whiten
+from .estimation import _rows_times, whiten
 from .patterns import IndependenceGraph, PartitionSpec
 
 __all__ = [
@@ -110,7 +110,7 @@ def gen_partitioned_sources(
             m = g.standard_normal((k, k))
             while np.linalg.svd(m, compute_uv=False)[-1] < 0.3:
                 m = g.standard_normal((k, k))
-            block = latents @ m.T
+            block = _rows_times(latents, m)
             block[:, 0] = block[:, 0] + _COUPLING * block[:, 1] ** 3
             block = whiten(block).whitened
         for pos, i in enumerate(members):
@@ -180,14 +180,18 @@ def gen_graph_sources(n: int, graph: IndependenceGraph, rng: int | np.random.Gen
 
 
 def mix(sources: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Apply the mixing matrix row-wise: each output row is A @ input row."""
+    """Apply the mixing matrix row-wise: each output row is A @ input row.
+
+    The product runs a block of rows at a time on one BLAS thread; from two
+    rows on, the result is bit for bit ``sources @ a.T``.
+    """
     sources = np.asarray(sources, dtype=float)
     a = np.asarray(a, dtype=float)
     if sources.ndim != 2:
         raise ValueError(f"sources must be 2-D, got shape {sources.shape}")
     if a.shape != (sources.shape[1], sources.shape[1]):
         raise ValueError(f"mixing matrix shape {a.shape} does not match d={sources.shape[1]}")
-    return sources @ a.T
+    return _rows_times(sources, a)
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,32 @@ def test_recover_is_byte_identical_per_seed(workdir):
     assert reports[0].read_bytes() == reports[1].read_bytes()
 
 
+def test_npy_files_give_the_csv_results(workdir, capsys):
+    # simulate --out x.npy writes np.save's binary file; cumulants and recover map it and match the CSV run
+    spec_obj = SourceSpec("partitioned", 4, "uniform", blocks=((1, 2), (3, 4)))
+    spec = write_spec(workdir / "spec.json", spec_obj)
+    for suffix in ("csv", "npy"):
+        out = str(workdir / f"sources.{suffix}")
+        assert cli.run(["simulate", "--spec", spec, "--n", "3000", "--seed", "4", "--out", out]) == 0
+    assert (workdir / "sources.npy").read_bytes()[:6] == b"\x93NUMPY"
+    assert np.load(workdir / "sources.npy").tobytes() == read_csv(workdir / "sources.csv").tobytes()
+    pat_path = workdir / "pattern.json"
+    save_pattern(pattern_from_partition(PartitionSpec(4, ((1, 2), (3, 4))), 4), pat_path)
+    for suffix in ("csv", "npy"):
+        data = str(workdir / f"sources.{suffix}")
+        assert cli.run(["cumulants", "--in", data, "--order", "4", "--out", str(workdir / f"kappa.{suffix}.json")]) == 0
+        assert cli.run(
+            ["recover", "--in", data, "--pattern", str(pat_path), "--restarts", "2", "--seed", "1",
+             "--out", str(workdir / f"report.{suffix}.json")]
+        ) == 0
+    for stem in ("kappa", "report"):
+        assert (workdir / f"{stem}.csv.json").read_bytes() == (workdir / f"{stem}.npy.json").read_bytes()
+    (workdir / "bad.npy").write_text("1,2\n3,4\n")
+    capsys.readouterr()
+    assert cli.run(["cumulants", "--in", str(workdir / "bad.npy"), "--order", "3", "--out", str(workdir / "k.json")]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 def test_dimension_mismatch_exits_two(workdir, capsys):
     spec = PartitionSpec(4, ((1, 2), (3, 4)))
     data = workdir / "mixed.csv"

@@ -91,14 +91,27 @@ def test_moments_are_bit_identical_across_layouts_and_calls(d, r, n):
     assert bits[1:] == bits[:-1]
 
 
-# r = 1 and 2 reach BLAS dots and matrix-vector products, which OpenBLAS threads at other sizes than matrix products
+# r = 1 and 2 reach BLAS dots and matrix-vector products, which OpenBLAS threads at other sizes than matrix
+# products; whitening at d = 1 reaches them too
 _THREADS_SCRIPT = """
 import hashlib, numpy as np
-from pica.estimation import sample_moments
+from pica.estimation import sample_moments, whiten
+from pica.patterns import PartitionSpec, pattern_from_partition
+from pica.recovery import RecoveryOptions, estimate_unmixing
+from pica.simulate import gen_partitioned_sources, mix
 sha = hashlib.sha256()
 for d, r, n in ((1, 1, 20000), (2, 1, 20000), (1, 2, 20000), (2, 2, 20000), (4, 8, 20000), (8, 4, 5000), (13, 8, 70)):
     for m in sample_moments(np.random.default_rng(d).standard_normal((n, d)), r):
         sha.update(m.values.tobytes())
+for d in (1, 2, 8):
+    white = whiten(np.random.default_rng(d).standard_normal((50000, d)) + 1.0)
+    for array in (white.whitened, white.transform, white.mean):
+        sha.update(array.tobytes())
+spec = PartitionSpec(4, ((1, 2), (3, 4)))
+y = mix(gen_partitioned_sources(20000, spec, "uniform", 3), np.random.default_rng(4).standard_normal((4, 4)))
+report = estimate_unmixing(y, pattern_from_partition(spec, 4), RecoveryOptions(restarts=2, seed=5))
+for array in (y, report.unmixing, report.mean, np.array(report.objective_per_restart)):
+    sha.update(array.tobytes())
 print(sha.hexdigest())
 """
 
@@ -111,6 +124,58 @@ def test_moments_do_not_depend_on_the_blas_thread_count():
         run = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env, capture_output=True, text=True, check=True)
         digests.append(run.stdout)
     assert digests[0] == digests[1]
+
+
+# (d, r, n) for the streamed whitening: fewer rows than one moment block; a last moment block of one row (the
+# 10 product rows of d = 3, r = 3..4 take 3276 observations per block); a last whitening product of one row
+# (29127 rows at d = 3); several blocks of both at d = 8; r = 6.
+_MOMENT_ROWS = max(estimation._BLOCK_ROWS_MIN, estimation._BLOCK_ENTRIES // math.comb(3 + 2, 2))
+_STREAM_CASES = [
+    (3, 4, 100),
+    (3, 4, 2 * _MOMENT_ROWS + 1),
+    (3, 3, estimation._product_rows(3, 3) + 1),
+    (8, 4, 5000),
+    (5, 6, 700),
+]
+
+
+@pytest.mark.parametrize("d, r, n", _STREAM_CASES)
+def test_streamed_whitened_cumulant_is_the_two_step_one_bit_for_bit(d, r, n):
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-1.0, 1.0, (n, d)) @ rng.standard_normal((d, d)) + 2.0
+    wide = np.zeros((n, d + 2))
+    wide[:, 1 : d + 1] = x
+    bits = []
+    for layout in (x, np.asfortranarray(x), wide[:, 1 : d + 1]):
+        white = whiten(layout)
+        two_step = (white.mean, white.transform, sample_cumulant(white.whitened, r).values)
+        streamed = estimation._whitened_cumulant(layout, r)
+        assert [a.tobytes() for a in two_step] == [a.tobytes() for a in streamed[:2] + (streamed[2].values,)]
+        bits.append(b"".join(a.tobytes() for a in two_step) + white.whitened.tobytes())
+    assert bits[1:] == bits[:-1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_whitened_moments_of_few_rows_are_those_of_the_whitened_rows(n):
+    # one row cannot be whitened, so any affine map stands in for the whitening
+    rng = np.random.default_rng(n)
+    x, mean, transform = rng.standard_normal((n, 4)), rng.standard_normal(4), rng.standard_normal((4, 4))
+    streamed = estimation._moments(x, 5, (mean, transform))
+    two_step = sample_moments(estimation._rows_times(x, transform, mean), 5)
+    assert [m.values.tobytes() for m in streamed] == [m.values.tobytes() for m in two_step]
+    if n == 1:
+        with pytest.raises(DegenerateDataError):
+            whiten(x)
+
+
+@pytest.mark.parametrize("d", range(1, 12))
+def test_row_blocked_products_are_one_product_bit_for_bit(d):
+    # a last block of one row, which is padded to two: a one-row product is a matrix-vector one
+    step = estimation._product_rows(d, d)
+    rng = np.random.default_rng(d)
+    x, a, shift = rng.standard_normal((2 * step + 1, d)), rng.standard_normal((d, d)), rng.standard_normal(d)
+    assert estimation._rows_times(x, a).tobytes() == (x @ a.T).tobytes()
+    assert estimation._rows_times(x, a, shift).tobytes() == ((x - shift) @ a.T).tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -318,6 +383,29 @@ def test_cumulant_additivity_for_independent_samples():
     scale = max(kx.max_abs(), ky.max_abs(), 1.0)
     tol = 5.0 / np.sqrt(n) * scale
     assert np.abs(kxy.values - kx.values - ky.values).max() < tol
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_npy_round_trip_is_bit_exact_and_mapped(tmp_path, order):
+    x = np.asarray(np.random.default_rng(11).standard_normal((300, 4)) * 10.0 ** np.arange(4), order=order)
+    x[0, 0] = -0.0
+    write_csv(tmp_path / "data.npy", x)
+    back = read_csv(tmp_path / "data.npy")
+    assert back.tobytes() == np.ascontiguousarray(x).tobytes()
+    assert isinstance(back.base, np.memmap)
+    assert whiten(back).whitened.tobytes() == whiten(x).whitened.tobytes()
+    # a CSV path still gets text, whatever other file sits next to it
+    write_csv(tmp_path / "data.csv", x)
+    assert read_csv(tmp_path / "data.csv").tobytes() == back.tobytes()
+
+
+def test_npy_of_the_wrong_shape_or_values_is_refused(tmp_path):
+    np.save(tmp_path / "flat.npy", np.ones(5))
+    np.save(tmp_path / "nan.npy", np.array([[1.0, np.nan]]))
+    with pytest.raises(ValueError, match="2-D"):
+        read_csv(tmp_path / "flat.npy")
+    with pytest.raises(ValueError, match="finite"):
+        read_csv(tmp_path / "nan.npy")
 
 
 def test_csv_round_trip(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pica import recovery
+from pica import estimation, partitions, recovery
 from pica._rng import substream
 from pica.estimation import DegenerateDataError, sample_cumulant, whiten
 from pica.groups import (
@@ -111,6 +111,40 @@ def test_estimate_unmixing_order_mismatch():
     for pattern, match in cases:
         with pytest.raises(ValueError, match=match):
             estimate_unmixing(x, pattern, RecoveryOptions(order=4))
+
+
+def test_estimate_unmixing_refuses_before_any_pass_over_the_data(monkeypatch):
+    # every value is NaN and the whitening pass fails the test if it is reached, so each refusal comes first
+    def data_pass(x):
+        raise AssertionError("the data pass was reached")
+
+    monkeypatch.setattr(estimation, "_whitening", data_pass)
+    x = np.full((100, 4), np.nan)
+    with pytest.raises(ValueError, match="dim 3 != data column count 4"):
+        estimate_unmixing(x, diagonal_pattern(3, 4))
+    with pytest.raises(ValueError, match="dense cube d\\^r = 24\\^5"):
+        estimate_unmixing(np.full((100, 24), np.nan), diagonal_pattern(24, 5), RecoveryOptions(order=5))
+    monkeypatch.setattr(partitions, "MAX_CONVERSION_ENTRIES", num_entries(4, 4) * 15 - 1)
+    with pytest.raises(ValueError, match="sub-tuple entries"):
+        estimate_unmixing(x, diagonal_pattern(4, 4))
+    with pytest.raises(AssertionError, match="data pass"):
+        estimate_unmixing(x, diagonal_pattern(4, 3), RecoveryOptions(order=3))
+
+
+def test_estimate_unmixing_holds_no_copy_of_the_data():
+    # the moment pass whitens each block of rows as it reaches it: no centred or whitened n x d array is built
+    x = mix(gen_independent_sources(200_000, 8, "uniform", 0), random_orthogonal(8, 1))
+    pattern = diagonal_pattern(8, 4)
+    tracemalloc.start()
+    try:
+        report = estimate_unmixing(x, pattern, RecoveryOptions(restarts=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes / 4
+    white = whiten(x)
+    assert report.whitening.tobytes() == white.transform.tobytes()
+    assert report.mean.tobytes() == white.mean.tobytes()
 
 
 def test_estimate_unmixing_degenerate_covariance():

@@ -3,7 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from pica.estimation import sample_cumulant
+from pica import simulate as simulate_module
+from pica._rng import child_generators
+from pica.estimation import _product_rows, sample_cumulant, whiten
 from pica.groups import random_orthogonal
 from pica.patterns import (
     IndependenceGraph,
@@ -211,6 +213,29 @@ def test_mix_identity_and_inverse():
     np.testing.assert_allclose(y, x, atol=1e-10)
     with pytest.raises(ValueError, match="mixing"):
         mix(x, np.eye(4))
+
+
+@pytest.mark.parametrize("d", range(2, 12))
+def test_mix_rows_are_one_product_bit_for_bit(d):
+    # mix runs a block of rows at a time on one BLAS thread; here the last block holds one row
+    n = 2 * _product_rows(d, d) + 1
+    x = gen_independent_sources(n, d, "uniform", d)
+    a = np.random.default_rng(d).standard_normal((d, d))
+    assert mix(x, a).tobytes() == (x @ a.T).tobytes()
+
+
+def test_partitioned_latents_are_mixed_as_one_product_bit_for_bit():
+    # one block of three coordinates, drawn and mixed as gen_partitioned_sources does, with one product
+    n = 2 * _product_rows(3, 3) + 1
+    [g] = child_generators(7, 1)
+    latents = np.column_stack([simulate_module._DRAWS["uniform"](n, g) for _ in range(3)])
+    m = g.standard_normal((3, 3))
+    while np.linalg.svd(m, compute_uv=False)[-1] < 0.3:
+        m = g.standard_normal((3, 3))
+    block = latents @ m.T
+    block[:, 0] = block[:, 0] + simulate_module._COUPLING * block[:, 1] ** 3
+    sources = gen_partitioned_sources(n, PartitionSpec(3, ((1, 2, 3),)), "uniform", 7)
+    assert sources.tobytes() == whiten(block).whitened.tobytes()
 
 
 def test_mix_cumulant_multilinearity():
