@@ -52,9 +52,20 @@ __all__ = [
 # Relative eigenvalue floor for declaring a covariance rank deficient.
 EPS_PD_RATIO = 1e-10
 
-# Rows that write_csv formats with one % operation: larger blocks were no
-# faster, and each holds its rows as Python floats (0.5 MB at d = 8).
-_CSV_BLOCK_ROWS = 1024
+# Values that write_csv formats at a time, whole rows and at least one: about 180 B of temporaries each (0.55 MB a
+# block). At 100k x 8, blocks of 8192 were about 15% faster but held 1.5 MB; 2048 were about 10% slower.
+_CSV_BLOCK_VALUES = 3072
+# 5^k for k = 16 - X, X the decimal exponent of a value in [1e-4, 1e17); each is below 2^47.
+_POW5 = np.array([5**k for k in range(21)], dtype=np.uint64)
+# The ASCII text of 0000..9999, four bytes in order as one "<u4" each.
+_DIGITS4 = np.arange(10**4, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10 + 48
+_DIGITS4 = _DIGITS4.astype(np.uint8).view("<u4")[:, 0]
+# Bytes per value in write_csv's buffer, seven "<u4" words: up to seven bytes of sign and "0.000" before the 17 digits
+# at bytes 7..23, and room for the separator after them or after Python's longest "%.17g" text (24 bytes).
+_CSV_WIDTH = 28
+# Row lo * _CSV_WIDTH + hi is True at bytes lo..hi of a buffer row, lo in 0..6.
+_CSV_KEEP = np.arange(_CSV_WIDTH) >= np.arange(7).repeat(_CSV_WIDTH)[:, None]
+_CSV_KEEP &= np.arange(_CSV_WIDTH) <= np.tile(np.arange(_CSV_WIDTH), 7)[:, None]
 # Suffixes that np.loadtxt (read_csv) decompresses, compressed on write as np.savetxt does.
 _CSV_OPENERS = {".gz": gzip.open, ".bz2": bz2.open, ".xz": lzma.open}
 # Observations per moment block: about 256 KB of product rows, at least 64; 4 KB- and 4 MB-scale blocks were slower.
@@ -281,9 +292,9 @@ def _cumulant(x: np.ndarray, r: int, affine: tuple[np.ndarray, np.ndarray] | Non
 
 
 def center(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Subtract per-column means; returns (centered matrix, mean vector)."""
-    x = as_sample_matrix(x)
-    mean = x.mean(axis=0)
+    """Subtract per-column means; returns (centered matrix, mean vector), the mean bit for bit ``whiten``'s."""
+    x = _as_matrix(x)
+    mean = _mean(x)
     return x - mean, mean
 
 
@@ -317,21 +328,15 @@ def whiten(x: np.ndarray) -> WhiteningResult:
 def _whitening(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``whiten``'s mean and transform, from two passes over fixed blocks of rows.
 
-    The first sums each block's rows, refusing a non-finite value; the
-    second sums the blocks' centred Gram matrices.  Each block is copied
-    first, so the sums do not depend on the layout of x, and each Gram
-    product has ``_product_rows`` rows, so OpenBLAS runs it on one thread.
+    The first is ``_mean``; the second sums the blocks' centred Gram
+    matrices.  Each block is copied first, so the sums do not depend on the
+    layout of x, and each Gram product has ``_product_rows`` rows, so
+    OpenBLAS runs it on one thread.
     """
     n, d = x.shape
     step = _product_rows(d, d)
+    mean = _mean(x)
     rows = np.empty((min(n, step), d))
-    total = np.zeros(d)
-    for start in range(0, n, step):
-        block = rows[: min(step, n - start)]
-        np.copyto(block, x[start : start + step])
-        _check_finite(block)
-        total += block.sum(axis=0)
-    mean = total / n
     gram, product = np.zeros((d, d)), np.empty((d, d))
     for start in range(0, n, step):
         block = rows[: min(step, n - start)]
@@ -343,6 +348,21 @@ def _whitening(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"covariance rank deficient: eigenvalues in [{w[0]:.3e}, {w[-1]:.3e}]"
         )
     return mean, (v * w**-0.5) @ v.T
+
+
+def _mean(x: np.ndarray) -> np.ndarray:
+    """Column means of a 2-D float array: the sum of each fixed block of ``_product_rows`` rows, copied and checked
+    for non-finite values first, added in order and divided by n."""
+    n, d = x.shape
+    step = _product_rows(d, d)
+    rows = np.empty((min(n, step), d))
+    total = np.zeros(d)
+    for start in range(0, n, step):
+        block = rows[: min(step, n - start)]
+        np.copyto(block, x[start : start + step])
+        _check_finite(block)
+        total += block.sum(axis=0)
+    return total / n
 
 
 def _whitened_cumulant(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, SymmetricTensor]:
@@ -360,6 +380,10 @@ def _whitened_cumulant(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, S
 def read_csv(path) -> np.ndarray:
     """Headerless comma-separated observations, one row per sample; a ``.npy`` file is memory-mapped, not read."""
     if os.path.splitext(path)[1] == ".npy":
+        # np.load would try any other file as a pickle, and its refusal points at allow_pickle
+        with open(path, "rb") as fh:
+            if fh.read(len(np.lib.format.MAGIC_PREFIX)) != np.lib.format.MAGIC_PREFIX:
+                raise ValueError(f"{path} is not a .npy file")
         return as_sample_matrix(np.load(path, mmap_mode="r"))
     with warnings.catch_warnings():
         # an empty file is reported by as_sample_matrix, not by numpy's warning
@@ -371,8 +395,10 @@ def read_csv(path) -> np.ndarray:
 def write_csv(path, x: np.ndarray) -> None:
     """Comma-separated ``%.17g`` text, the bytes of ``np.savetxt(fmt="%.17g", delimiter=",")``.
 
-    One ``%`` format covers a block of rows at a time.  A path ending in
-    ``.npy`` gets ``np.save``'s binary file instead.
+    ``_csv_text`` formats ``_CSV_BLOCK_VALUES`` values at a time, whole
+    rows, from whole arrays in integer arithmetic; only zeros and values
+    below 1e-4 or from 1e17 in magnitude take Python's ``%``.  A path
+    ending in ``.npy`` gets ``np.save``'s binary file instead.
     """
     x = as_sample_matrix(x)
     suffix = os.path.splitext(path)[1]
@@ -380,9 +406,130 @@ def write_csv(path, x: np.ndarray) -> None:
         with open(path, "wb") as fh:
             np.save(fh, x)
         return
-    row = ",".join(["%.17g"] * x.shape[1]) + "\n"
-    with _CSV_OPENERS.get(suffix, open)(path, "wt") as fh:
-        for start in range(0, x.shape[0], _CSV_BLOCK_ROWS):
-            block = x[start:start + _CSV_BLOCK_ROWS]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+    step = max(1, _CSV_BLOCK_VALUES // x.shape[1])
+    with _CSV_OPENERS.get(suffix, open)(path, "wb") as fh:
+        for start in range(0, x.shape[0], step):
+            fh.write(_csv_text(x[start : start + step]))
 
+
+def _csv_text(x: np.ndarray) -> np.ndarray:
+    """The ``%.17g`` text of a block of rows as uint8 bytes, values ended by "," and rows by a newline.
+
+    A value v with 1e-4 <= |v| < 1e17 has %g's fixed form, from its 17
+    significant digits (``_decimal17``).  After a stable sort by decimal
+    exponent, ``_csv_layout`` lays each value's text out in a buffer row by
+    slice copies per exponent; zeros and other values take Python's ``%``.
+    One mask, gathered back in input order, keeps the bytes lo..hi of each
+    row, where hi is the byte after the text, which becomes its separator.
+    """
+    v = x.ravel()
+    exp, d17 = _decimal17(v)
+    order = np.argsort(exp, kind="stable")
+    buf, lo, hi = _csv_layout(v[order], exp[order], d17[order])
+    back = np.empty(len(v), np.intp)
+    back[order] = np.arange(len(v))
+    lo, hi = lo[back], hi[back]
+    text = buf.take(back, axis=0)[_CSV_KEEP.take(lo * _CSV_WIDTH + hi, axis=0)]
+    ends = np.cumsum(hi - lo + 1) - 1
+    text[ends] = ord(",")
+    text[ends[x.shape[1] - 1 :: x.shape[1]]] = ord("\n")
+    return text
+
+
+def _csv_layout(v: np.ndarray, exp: np.ndarray, d17: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Buffer rows holding the ``%.17g`` text of values sorted by exponent, and the first and separator byte of each.
+
+    Every row starts as "-------", D's leading digit (byte 7) and its other
+    16 digits, four to a word from ``_DIGITS4``.  Where X >= 0, the first
+    X + 1 digits move one byte left and a "." follows them; the digits
+    after the last nonzero one, and the "." if it is then last, are not
+    kept.  Where X < 0, "0.000"[:1 - X] goes before the digits.  The sign
+    is the "-" before the text, kept where v is negative.
+    """
+    n = len(v)
+    top = d17 // np.uint64(10**8)
+    lead = top // np.uint64(10**8)
+    halves = np.empty((n, 2), np.int32)
+    halves[:, 0] = top - lead * np.uint64(10**8)
+    halves[:, 1] = d17 - top * np.uint64(10**8)
+    quads = np.empty((n, 2, 2), np.int32)
+    np.floor_divide(halves, 10**4, out=quads[:, :, 0])
+    np.subtract(halves, quads[:, :, 0] * 10**4, out=quads[:, :, 1])
+    buf = np.empty((n, _CSV_WIDTH), np.uint8)
+    words = buf.view("<u4")
+    words[:, 0] = 0x2D2D2D2D
+    words[:, 1] = ((lead + np.uint64(48)) << np.uint64(24)) | np.uint64(0x2D2D2D)
+    words[:, 2:6] = _DIGITS4.take(quads.reshape(n, 4))
+    # the index of the last nonzero digit, found where the last digit is 0 (the leading digit never is)
+    last = np.full(n, 16)
+    zero = np.flatnonzero(buf[:, 23] == ord("0"))
+    last[zero] = 16 - np.argmax(buf[zero, 23:6:-1] > ord("0"), axis=1)
+    lo = np.minimum(exp, 0).astype(np.int64) + 6 - np.signbit(v)
+    hi = np.where(last > exp, last + 8, exp + 7)
+    starts = np.searchsorted(exp, np.arange(-4, 18))
+    for x_exp in range(-4, 17):
+        rows = buf[starts[x_exp + 4] : starts[x_exp + 5]]
+        if not len(rows):
+            continue
+        if x_exp >= 0:
+            rows[:, 6 : 7 + x_exp] = rows[:, 7 : 8 + x_exp]
+            rows[:, 7 + x_exp] = ord(".")
+        else:
+            rows[:, 6 + x_exp : 7] = np.frombuffer(b"0.000", np.uint8)[: 1 - x_exp]
+    rest = slice(starts[21], n)
+    if starts[21] < n:
+        text = np.frombuffer(b"%.17g\n" * (n - starts[21]) % tuple(v[rest].tolist()), np.uint8)
+        lengths = np.diff(np.flatnonzero(text == ord("\n")), prepend=-1) - 1
+        buf[rest][np.arange(_CSV_WIDTH) < lengths[:, None]] = text[text != ord("\n")]
+        lo[rest], hi[rest] = 0, lengths
+    return buf, lo, hi
+
+
+def _decimal17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each value, X and D = round-half-even(|v| * 10^(16 - X)) with 10^16 <= D < 10^17, the 17 digits of %.17g.
+
+    X is an int8, and 17 for zeros and values outside [1e-4, 1e17), whose D
+    is not used.  A clipped log10 estimates X; where D then leaves [10^16,
+    10^17), which can happen next to a power of ten, X moves by one and D
+    is found again.
+    """
+    a = np.abs(v)
+    fixed = (a >= 1e-4) & (a < 1e17)
+    a = np.where(fixed, a, 1.0)
+    m, e = np.frexp(a)
+    mant = (m * 2.0**53).astype(np.uint64)
+    exp = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)
+    d17 = _round_scaled(mant, e, exp)
+    off = np.flatnonzero((d17 < np.uint64(10**16)) | (d17 >= np.uint64(10**17)))
+    if off.size:
+        exp[off] += np.where(d17[off] < np.uint64(10**16), -1, 1)
+        d17[off] = _round_scaled(mant[off], e[off], exp[off])
+    return np.where(fixed, exp, 17).astype(np.int8), d17
+
+
+def _round_scaled(mant: np.ndarray, e: np.ndarray, exp: np.ndarray) -> np.ndarray:
+    """round-half-even(mant * 2^(e - 53) * 10^(16 - exp)) as uint64, exactly, for a 53-bit integer mant.
+
+    With k = 16 - exp in 0..20 the product is mant * 5^k * 2^-s,
+    s = 53 - e - k.  mant * 5^k < 2^100 is formed in two uint64 words
+    (hi, lo) from 32-bit halves; the result is (hi, lo) shifted right by s,
+    rounded on the bits shifted out, or lo shifted left by -s where s < 0,
+    which needs no rounding.  Only uint64 scalars and explicit casts meet
+    uint64 arrays, so numpy 1.x and 2.x promotion agree.
+    """
+    k = 16 - exp
+    pow5 = _POW5[k]
+    s = 53 - e - k
+    right, left = np.maximum(s, 0).astype(np.uint64), np.maximum(-s, 0).astype(np.uint64)
+    low32, w32 = np.uint64(2**32 - 1), np.uint64(32)
+    m_hi, m_lo, p_hi, p_lo = mant >> w32, mant & low32, pow5 >> w32, pow5 & low32
+    lo_lo = m_lo * p_lo
+    middle = m_hi * p_lo + m_lo * p_hi
+    lo = lo_lo + (middle << w32)
+    hi = m_hi * p_hi + (middle >> w32) + (lo < lo_lo).astype(np.uint64)
+    # hi is 0 where s <= 0, so its shift by 64 there adds nothing
+    d = ((hi << (np.uint64(64) - right)) | (lo >> right)) << left
+    unit = np.uint64(1) << right
+    twice_rest = (lo & (unit - np.uint64(1))) << np.uint64(1)
+    d += (twice_rest > unit) | ((twice_rest == unit) & (d & np.uint64(1)).astype(bool))
+    return d

@@ -378,6 +378,8 @@ def test_empty_and_out_of_range_inputs_exit_two(workdir, capsys):
     write_csv(sixteen, np.random.default_rng(0).standard_normal((20, 16)))
     huge = workdir / "huge.csv"
     write_csv(huge, 1e100 * np.random.default_rng(0).standard_normal((50, 3)))
+    not_npy = workdir / "bad.npy"
+    not_npy.write_text("1,2\n3,4\n")
     out = str(workdir / "o.json")
     # a pattern or graph of dimension < 1 is refused by canonical_indices, not left to an IndexError
     tensor_path, no_d_graph = workdir / "t.json", workdir / "no_d.json"
@@ -403,6 +405,8 @@ def test_empty_and_out_of_range_inputs_exit_two(workdir, capsys):
         (["cumulants", "--in", str(sixteen), "--order", "8", "--out", out], "(2^r - 1) = 125030070 sub-tuple entries"),
         # fourth powers near 1e400 overflow: refused, where a file of NaN values was written
         (["cumulants", "--in", str(huge), "--order", "4", "--out", out], "the order-4 sample cumulant overflows a float"),
+        # CSV text under a .npy name, which np.load would refuse as a pickle, pointing at allow_pickle
+        (["cumulants", "--in", str(not_npy), "--order", "4", "--out", out], "bad.npy is not a .npy file"),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning would be a second stderr line

@@ -1,8 +1,11 @@
 import gc
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -12,10 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pica import estimation
 from pica.estimation import (
-    _CSV_BLOCK_ROWS,
+    _CSV_BLOCK_VALUES,
     DegenerateDataError,
     center,
     read_csv,
@@ -281,6 +285,14 @@ def test_center_properties():
     assert ymean[0] == pytest.approx(3.0)
 
 
+def test_center_mean_is_whitens_mean_bit_for_bit():
+    # 20k rows are several blocks of whiten's mean pass, whose sums differ from x.mean's in the last bits
+    x = np.random.default_rng(8).standard_normal((20_000, 4)) * [1.0, 3.0, 1e-3, 50.0] + [0.1, -7.0, 2.0, 1e3]
+    xc, mean = center(x)
+    assert mean.tobytes() == whiten(x).mean.tobytes()
+    assert xc.tobytes() == (x - whiten(x).mean).tobytes()
+
+
 def test_whiten_already_white():
     # four points with exact identity sample covariance
     x = np.array([[np.sqrt(2), 0], [-np.sqrt(2), 0], [0, np.sqrt(2)], [0, -np.sqrt(2)]])
@@ -406,6 +418,9 @@ def test_npy_of_the_wrong_shape_or_values_is_refused(tmp_path):
         read_csv(tmp_path / "flat.npy")
     with pytest.raises(ValueError, match="finite"):
         read_csv(tmp_path / "nan.npy")
+    (tmp_path / "text.npy").write_text("1,2\n3,4\n")
+    with pytest.raises(ValueError, match=r"text\.npy is not a \.npy file"):
+        read_csv(tmp_path / "text.npy")
 
 
 def test_csv_round_trip(tmp_path):
@@ -422,7 +437,8 @@ def test_csv_round_trip(tmp_path):
 
 @pytest.mark.parametrize(
     "shape",
-    [(1, 1), (_CSV_BLOCK_ROWS - 1, 3), (_CSV_BLOCK_ROWS, 8), (_CSV_BLOCK_ROWS + 1, 8), (3 * _CSV_BLOCK_ROWS, 2)],
+    [(1, 1), (_CSV_BLOCK_VALUES // 3 - 1, 3), (_CSV_BLOCK_VALUES // 8, 8), (_CSV_BLOCK_VALUES // 8 + 1, 8),
+     (3 * _CSV_BLOCK_VALUES // 2, 2)],
 )
 def test_write_csv_matches_savetxt_bytes(tmp_path, shape):
     x = np.random.default_rng(shape[0]).standard_normal(shape) * 10.0 ** np.arange(shape[1])
@@ -438,6 +454,82 @@ def test_write_csv_extreme_values_match_savetxt_and_round_trip(tmp_path):
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "numpy.csv").read_bytes()
     back = read_csv(tmp_path / "block.csv")
     assert back.tobytes() == x.tobytes()  # bitwise, so the sign of -0.0 survives
+
+
+def _savetxt_bytes(x) -> bytes:
+    buffer = io.BytesIO()
+    np.savetxt(buffer, x, fmt="%.17g", delimiter=",")
+    return buffer.getvalue()
+
+
+def _write_csv_bytes(x) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        write_csv(os.path.join(tmp, "x.csv"), x)
+        return Path(tmp, "x.csv").read_bytes()
+
+
+_any_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 6)),
+              elements=st.one_of(_any_finite, st.floats(-1e18, 1e18), st.floats(-1e-3, 1e-3))))
+@example(np.array([[1.0]]))
+@example(np.array([[-0.0, 5e-324, 1e-4, 1e17, 123.5]]))
+def test_write_csv_matches_savetxt_on_any_finite_matrix(x):
+    assert _write_csv_bytes(x) == _savetxt_bytes(x)
+
+
+def test_write_csv_rounds_exact_ties_half_even():
+    # each has 18 significant digits ending in an exact 5: %.17g rounds it to the even neighbour
+    ties = np.array([12345678 + 1 / 1024, 12345678 + 3 / 1024, 1234567 + 1 / 2048, 1234567 + 3 / 2048])
+    x = np.concatenate([ties, -ties])[:, None]
+    expected = [b"12345678.000976562", b"12345678.002929688", b"1234567.0004882812", b"1234567.0014648438"]
+    assert _write_csv_bytes(x).split(b"\n")[:4] == expected
+    assert _write_csv_bytes(x) == _savetxt_bytes(x)
+
+
+def test_write_csv_next_to_powers_of_ten_and_the_fixed_form_edges():
+    powers = 10.0 ** np.arange(-5, 18)
+    x = np.concatenate([np.nextafter(powers, 0), powers, np.nextafter(powers, np.inf)])
+    # the smallest and largest magnitudes written without Python's %, and their neighbours outside that range
+    edges = np.array([1e-4, np.nextafter(1e-4, 0), np.nextafter(1e17, 0), 1e17])
+    x = np.concatenate([x, edges, -x, -edges]).reshape(-1, 2)
+    assert _write_csv_bytes(x) == _savetxt_bytes(x)
+
+
+def test_write_csv_subnormals_zeros_and_huge_values():
+    x = np.array([[5e-324, -5e-324, 2.2250738585072009e-308, 0.0], [-0.0, 1.7e308, -1.7976931348623157e308, 1e-300]])
+    assert _write_csv_bytes(x) == _savetxt_bytes(x)
+
+
+def test_write_csv_reads_f_order_and_strided_input():
+    x = np.random.default_rng(5).standard_normal((300, 12)) * 10.0 ** np.arange(-6, 18, 2)
+    for view in (np.asfortranarray(x), x[::3, ::2], x[::-1, 1::5]):
+        assert _write_csv_bytes(view) == _savetxt_bytes(np.ascontiguousarray(view))
+
+
+def test_write_csv_places_python_formatted_values_anywhere_in_a_block():
+    d = 8
+    x = np.random.default_rng(6).standard_normal((3 * (_CSV_BLOCK_VALUES // d), d))
+    rows = _CSV_BLOCK_VALUES // d
+    # first and last column of a row, and the last value of a block and the first of the next
+    for i, j, value in [(0, 0, 0.0), (5, d - 1, -1e-300), (rows - 1, d - 1, 1e200), (rows, 0, -0.0), (2 * rows, 0, 5e-324)]:
+        x[i, j] = value
+    assert _write_csv_bytes(x) == _savetxt_bytes(x)
+    x[:, 3] = 0.0  # a column of them
+    assert _write_csv_bytes(x) == _savetxt_bytes(x)
+
+
+def test_write_csv_peak_memory_is_block_sized(tmp_path):
+    x = np.random.default_rng(7).standard_normal((100_000, 8))
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "x.csv", x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
