@@ -61,7 +61,8 @@ def load(path, decode):
 
     A file that parses but has the wrong shape, a non-object top level or
     a field of the wrong type, raises ValueError naming the file, and so
-    does a non-finite number: NaN, Infinity, or a literal that overflows.
+    do a non-finite number (NaN, Infinity, or a literal that overflows)
+    and a value that ``decode`` refuses with a ValueError.
     """
 
     def finite(text):
@@ -78,3 +79,5 @@ def load(path, decode):
         return decode(obj)
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: malformed content: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

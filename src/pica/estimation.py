@@ -15,10 +15,11 @@ whatever the input's memory layout, so results are bit-reproducible for a
 given numpy and BLAS build, whatever its thread count.  Moments match the
 exact mean to within the rounding of k - 1 products and a sum of n terms.
 
-A recovery whitens each block of rows as the moment pass reaches it
-(``_whitened_cumulant``), so it holds the input and block-sized working
-memory, never a centred or whitened n x d copy; a ``.npy`` input is
-memory-mapped, not read.
+A recovery takes ``_whitening``'s mean and transform and then
+``_cumulant`` with them, which whitens each block of rows as the moment
+pass reaches it, so it holds the input and block-sized working memory,
+never a centred or whitened n x d copy; a ``.npy`` input is memory-mapped,
+not read.
 """
 
 from __future__ import annotations
@@ -79,8 +80,6 @@ _VECTOR_MACS = 2**13
 # Observations per product where the sums allow: with fewer, each product is a memory-bound update of all its sums
 # (at d = 18, r = 8, one took ten times as long); 16 was fastest or near it at d = 14 and 18, r = 8 and d = 98, r = 4.
 _PRODUCT_OBS = 16
-# Sums held at a time, 16 MB: more take one more pass over the data each (3 at r = 8, d = 21).
-_GRAM_ENTRIES = 2**21
 
 
 class DegenerateDataError(ValueError):
@@ -102,12 +101,29 @@ def _check_finite(block: np.ndarray) -> None:
         raise ValueError("sample matrix contains non-finite values")
 
 
+def _row_blocks(x: np.ndarray, step: int, shift: np.ndarray | None = None):
+    """Each fixed block of ``step`` rows of x in order, with the index of its first row.
+
+    Each block is copied, less ``shift`` if given, into one reused buffer
+    of at least two rows, so what is done with it does not depend on the
+    memory layout of x.
+    """
+    n, d = x.shape
+    rows = np.zeros((max(2, min(n, step)), d))
+    for start in range(0, n, step):
+        block = rows[: min(step, n - start)]
+        if shift is None:
+            np.copyto(block, x[start : start + step])
+        else:
+            np.subtract(x[start : start + step], shift, out=block)
+        yield start, block
+
+
 def as_sample_matrix(x) -> np.ndarray:
     """A non-empty 2-D float array of finite values, checked a block of rows at a time."""
     x = _as_matrix(x)
-    step = _product_rows(x.shape[1], x.shape[1])
-    for start in range(0, len(x), step):
-        _check_finite(x[start : start + step])
+    for _, block in _row_blocks(x, _product_rows(x.shape[1], x.shape[1])):
+        _check_finite(block)
     return x
 
 
@@ -118,29 +134,23 @@ def _product_rows(d: int, e: int) -> int:
 
 
 def _rows_times(x: np.ndarray, a: np.ndarray, shift: np.ndarray | None = None, out=None) -> np.ndarray:
-    """(x - shift) @ a.T, a block of rows at a time, into ``out`` if given.
+    """(x - shift) @ a.T, a block of rows at a time (``_row_blocks``), into ``out`` if given.
 
-    Each block is copied, so the layout of x does not matter, and its BLAS
-    product has at most ``_product_rows`` rows, so OpenBLAS runs it on one
-    thread, and at least two: a one-row product is a matrix-vector one,
-    which rounds differently.  So each row's bits are those of the same
-    row of one whole product of two or more rows, whatever block it is in.
+    Each block's BLAS product has at most ``_product_rows`` rows, so
+    OpenBLAS runs it on one thread, and at least two: a one-row product is
+    a matrix-vector one, which rounds differently, so a one-row block is
+    multiplied as the first two rows of its buffer.  So each row's bits are
+    those of the same row of one whole product of two or more rows,
+    whatever block it is in, for x of fewer than 32 columns: from 32 on,
+    OpenBLAS 0.3.31 (Haswell kernels) rounds some rows of a short product
+    differently.
     """
-    n, d = x.shape
-    step = _product_rows(d, len(a))
-    out = np.empty((n, len(a))) if out is None else out
-    rows = np.zeros((max(2, min(n, step)), d))
-    for start in range(0, n, step):
-        block = x[start : start + step]
-        m = len(block)
-        if shift is None:
-            np.copyto(rows[:m], block)
+    out = np.empty((len(x), len(a))) if out is None else out
+    for start, block in _row_blocks(x, _product_rows(x.shape[1], len(a)), shift):
+        if len(block) > 1:
+            np.matmul(block, a.T, out=out[start : start + len(block)])
         else:
-            np.subtract(block, shift, out=rows[:m])
-        if m > 1:
-            np.matmul(rows[:m], a.T, out=out[start : start + m])
-        else:
-            out[start] = (rows[:2] @ a.T)[0]
+            out[start] = (block.base[:2] @ a.T)[0]
     return out
 
 
@@ -156,52 +166,51 @@ def sample_moments(x: np.ndarray, r: int) -> list[SymmetricTensor]:
     index, so group u of P times the first C(u + floor(r/2), floor(r/2))
     rows of S holds every entry whose upper part starts at u; a wide group
     is cut into tiles of rows.  The blocks and the BLAS products within
-    them are summed in a fixed order.
+    them are summed in a fixed order, in one walk over the rows, which
+    refuses a non-finite value when its block is reached.
     """
-    x = as_sample_matrix(x)
+    x = _as_matrix(x)
     _check_shape(r, x.shape[1])
     return _moments(x, r)
 
 
 def _moments(x: np.ndarray, r: int, affine: tuple[np.ndarray, np.ndarray] | None = None) -> list[SymmetricTensor]:
-    """``sample_moments`` of a checked matrix, or, with ``affine`` a (mean, transform) pair, of its whitened rows.
+    """``sample_moments`` of a 2-D float array, or, with ``affine`` a (mean, transform) pair, of its whitened rows.
 
     Each block of rows is then replaced by ``_rows_times(block, transform,
-    mean)``, whose rows are bit for bit those of ``whiten``'s ``whitened``,
-    so the moments are those of the whitened data with no copy of it.
+    mean)``, whose rows are those of ``whiten``'s ``whitened``, bit for bit
+    below 32 columns, so the moments are those of the whitened data with
+    no copy of it.
     """
     n, d = x.shape
-    rows, lengths, s_rows, p_rows, passes, flat, order = _moment_plan(d, r)
+    rows, lengths, s_rows, p_rows, calls, flat = _moment_plan(d, r)
     z = np.empty((rows, min(n, max(_BLOCK_ROWS_MIN, _BLOCK_ENTRIES // rows))))
     z[0] = 1.0
     white = None if affine is None else np.empty((z.shape[1], d))
     zs, zp = np.empty((len(s_rows), z.shape[1])), np.empty((len(p_rows), z.shape[1]))
-    product = np.empty(max((p_hi - p_lo) * cols for calls, _, _ in passes for p_lo, p_hi, cols, _ in calls))
-    sums = np.empty(len(flat))
-    for calls, lo, hi in passes:
-        acc = np.zeros(hi - lo)
-        for start in range(0, n, z.shape[1]):
-            block = x[start : start + z.shape[1]]
-            if affine is not None:
-                block = _rows_times(block, affine[1], affine[0], out=white[: len(block)])
-            z[1 : d + 1, : len(block)] = block.T
-            # the last block is filled up with zero observations, whose products add nothing
-            z[1 : d + 1, len(block) :] = 0.0
-            for at, parents, lasts in lengths:
-                np.multiply(z[parents], z[lasts], out=z[at : at + len(parents)])
-            np.take(z, s_rows, axis=0, out=zs, mode="clip")
-            np.take(z, p_rows, axis=0, out=zp, mode="clip")
-            for p_lo, p_hi, cols, at in calls:
-                g = acc[at : at + (p_hi - p_lo) * cols].reshape(p_hi - p_lo, cols)
-                out = product[: g.size].reshape(g.shape)
-                # observations per product, so that BLAS runs it on one thread; one observation's is exact
-                step = max(1, (_PRODUCT_MACS if min(g.shape) > 1 else _VECTOR_MACS) // g.size)
-                for c in range(0, z.shape[1], step):
-                    g += np.matmul(zp[p_lo:p_hi, c : c + step], zs[:cols, c : c + step].T, out=out)
-        s, e = np.searchsorted(flat, [lo, hi])
-        sums[order[s:e]] = acc[flat[s:e] - lo]
+    acc = np.zeros(sum((p_hi - p_lo) * cols for p_lo, p_hi, cols, _ in calls))
+    product = np.empty(max((p_hi - p_lo) * cols for p_lo, p_hi, cols, _ in calls))
+    for start in range(0, n, z.shape[1]):
+        block = x[start : start + z.shape[1]]
+        if affine is not None:
+            block = _rows_times(block, affine[1], affine[0], out=white[: len(block)])
+        z[1 : d + 1, : len(block)] = block.T
+        _check_finite(z[1 : d + 1, : len(block)])
+        # the last block is filled up with zero observations, whose products add nothing
+        z[1 : d + 1, len(block) :] = 0.0
+        for at, parents, lasts in lengths:
+            np.multiply(z[parents], z[lasts], out=z[at : at + len(parents)])
+        np.take(z, s_rows, axis=0, out=zs, mode="clip")
+        np.take(z, p_rows, axis=0, out=zp, mode="clip")
+        for p_lo, p_hi, cols, at in calls:
+            g = acc[at : at + (p_hi - p_lo) * cols].reshape(p_hi - p_lo, cols)
+            out = product[: g.size].reshape(g.shape)
+            # observations per product, so that BLAS runs it on one thread; one observation's is exact
+            step = max(1, (_PRODUCT_MACS if min(g.shape) > 1 else _VECTOR_MACS) // g.size)
+            for c in range(0, z.shape[1], step):
+                g += np.matmul(zp[p_lo:p_hi, c : c + step], zs[:cols, c : c + step].T, out=out)
     cuts = np.cumsum([num_entries(d, k) for k in range(1, r)])
-    return [SymmetricTensor(k, d, vals) for k, vals in enumerate(np.split(np.divide(sums, n), cuts), start=1)]
+    return [SymmetricTensor(k, d, vals) for k, vals in enumerate(np.split(acc[flat] / n, cuts), start=1)]
 
 
 @lru_cache(maxsize=16)
@@ -212,10 +221,9 @@ def _moment_plan(d: int, r: int) -> tuple:
     colex within one.  ``lengths`` holds, for each length from 2, its first
     Z row and the Z rows of each tuple's prefix and of its last value.
     ``s_rows`` and ``p_rows`` are the Z rows of S and P in their orders.
-    Each pass sums entries lo..hi; each of its calls (P rows p_lo..p_hi
-    times the first ``cols`` rows of S) starts at entry lo + at.  ``flat``
-    is each moment's entry, ascending, and ``order`` its position among the
-    orders 1..r laid end to end.
+    Each call (P rows p_lo..p_hi times the first ``cols`` rows of S) sums
+    its products into the accumulator from entry ``at``, and ``flat`` is
+    each moment's entry there, orders 1..r laid end to end.
     """
     high, low = (r + 1) // 2, r // 2
     idxs = [canonical_indices(d, m) for m in range(1, r + 1)]
@@ -239,13 +247,6 @@ def _moment_plan(d: int, r: int) -> tuple:
         tile = max(2, _PRODUCT_MACS // (cols * _PRODUCT_OBS))
         firsts = range(cuts[u - 1], max(cuts[u - 1] + 1, cuts[u] - 1), tile)
         calls += [(p, q, cols) for p, q in zip(firsts, [*firsts[1:], cuts[u]])]
-    passes = [([], 0, 0)]
-    for p_lo, p_hi, cols in calls:
-        group, lo, hi = passes.pop()
-        if group and hi - lo + (p_hi - p_lo) * cols > _GRAM_ENTRIES:
-            passes.append((group, lo, hi))
-            group, lo = [], hi
-        passes.append((group + [(p_lo, p_hi, cols, hi - lo)], lo, hi + (p_hi - p_lo) * cols))
     # each moment's P row, S row and call
     p_pos, s_pos = np.empty(starts[-1], dtype=np.int64), np.empty(starts[-1], dtype=np.int64)
     p_pos[p_rows], s_pos[s_rows] = np.arange(len(p_rows)), np.arange(len(s_rows))
@@ -258,11 +259,9 @@ def _moment_plan(d: int, r: int) -> tuple:
         call = np.searchsorted(call_lo, prow, side="right") - 1
         flat.append(call_at[call] + (prow - call_lo[call]) * call_cols[call] + scol)
     flat = np.concatenate(flat)
-    order = np.argsort(flat)
-    flat = flat[order]
-    for array in (flat, order):
-        array.flags.writeable = False
-    return int(starts[-1]), lengths, s_rows, p_rows, passes, flat, order
+    flat.flags.writeable = False
+    calls = [(p_lo, p_hi, cols, int(at)) for (p_lo, p_hi, cols), at in zip(calls, call_at)]
+    return int(starts[-1]), lengths, s_rows, p_rows, calls, flat
 
 
 def sample_moment(x: np.ndarray, r: int) -> SymmetricTensor:
@@ -276,7 +275,7 @@ def sample_cumulant(x: np.ndarray, r: int) -> SymmetricTensor:
     A conversion over its budget is refused before any moment is taken, and
     a cumulant that overflows a float is refused without a warning.
     """
-    x = as_sample_matrix(x)
+    x = _as_matrix(x)
     _check_shape(r, x.shape[1])
     _check_conversion_budget(x.shape[1], r)
     return _cumulant(x, r)
@@ -326,23 +325,18 @@ def whiten(x: np.ndarray) -> WhiteningResult:
 
 
 def _whitening(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``whiten``'s mean and transform, from two passes over fixed blocks of rows.
+    """``whiten``'s mean and transform, from two passes over fixed blocks of rows (``_row_blocks``).
 
     The first is ``_mean``; the second sums the blocks' centred Gram
-    matrices.  Each block is copied first, so the sums do not depend on the
-    layout of x, and each Gram product has ``_product_rows`` rows, so
-    OpenBLAS runs it on one thread.
+    matrices, each product of ``_product_rows`` rows, so OpenBLAS runs it
+    on one thread.
     """
-    n, d = x.shape
-    step = _product_rows(d, d)
+    d = x.shape[1]
     mean = _mean(x)
-    rows = np.empty((min(n, step), d))
     gram, product = np.zeros((d, d)), np.empty((d, d))
-    for start in range(0, n, step):
-        block = rows[: min(step, n - start)]
-        np.subtract(x[start : start + step], mean, out=block)
+    for _, block in _row_blocks(x, _product_rows(d, d), mean):
         gram += np.matmul(block.T, block, out=product)
-    w, v = np.linalg.eigh(gram / n)
+    w, v = np.linalg.eigh(gram / len(x))
     if w[-1] <= 0 or w[0] <= EPS_PD_RATIO * w[-1]:
         raise DegenerateDataError(
             f"covariance rank deficient: eigenvalues in [{w[0]:.3e}, {w[-1]:.3e}]"
@@ -351,30 +345,13 @@ def _whitening(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mean(x: np.ndarray) -> np.ndarray:
-    """Column means of a 2-D float array: the sum of each fixed block of ``_product_rows`` rows, copied and checked
-    for non-finite values first, added in order and divided by n."""
-    n, d = x.shape
-    step = _product_rows(d, d)
-    rows = np.empty((min(n, step), d))
-    total = np.zeros(d)
-    for start in range(0, n, step):
-        block = rows[: min(step, n - start)]
-        np.copyto(block, x[start : start + step])
+    """Column means of a 2-D float array: the sum of each fixed block of ``_product_rows`` rows (``_row_blocks``),
+    checked for non-finite values first, added in order and divided by n."""
+    total = np.zeros(x.shape[1])
+    for _, block in _row_blocks(x, _product_rows(x.shape[1], x.shape[1])):
         _check_finite(block)
         total += block.sum(axis=0)
-    return total / n
-
-
-def _whitened_cumulant(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, SymmetricTensor]:
-    """``whiten(x)``'s mean and transform, and ``sample_cumulant(whiten(x).whitened, r)`` bit for bit.
-
-    Two passes find the mean and transform; the moment pass then whitens
-    each block of rows as it reaches it, so no centred or whitened n x d
-    copy is built.  x is a 2-D float array whose shape has been checked;
-    ``_whitening`` checks its values.
-    """
-    mean, transform = _whitening(x)
-    return mean, transform, _cumulant(x, r, (mean, transform))
+    return total / len(x)
 
 
 def read_csv(path) -> np.ndarray:

@@ -101,8 +101,10 @@ class IndependenceGraph:
 
     def __post_init__(self):
         norm = set()
-        for u, v in self.edges:
-            u, v = int(u), int(v)
+        for edge in self.edges:
+            if len(edge) != 2:
+                raise ValueError(f"edge {tuple(edge)} is not a pair of vertices")
+            u, v = int(edge[0]), int(edge[1])
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (1 <= u <= self.dim and 1 <= v <= self.dim):

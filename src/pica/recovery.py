@@ -34,7 +34,7 @@ import numpy as np
 
 from . import _json
 from ._rng import _seed, substream
-from .estimation import _as_matrix, _whitened_cumulant
+from .estimation import _as_matrix, _cumulant, _whitening
 from .groups import (
     BlockStructure,
     coset_residual,
@@ -424,14 +424,15 @@ class RecoveryReport:
 def estimate_unmixing(y: np.ndarray, pattern: ZeroPattern, opts: RecoveryOptions | None = None) -> RecoveryReport:
     """Center, whiten, and rotate to minimize off-pattern cumulant energy.
 
-    The cumulant is ``sample_cumulant(whiten(y).whitened, order)`` bit for
-    bit, but each block of rows is whitened as the moment pass reaches it,
-    so no centred or whitened copy of y is built.  The column count, the
-    cube budget and the conversion budget are checked before any pass over
-    the data.  The rotation search assumes uncorrelated sources: whitening
-    maps the sources' covariance to the identity only when it already is
-    one, as for partitioned sources but not, in general, for graph ones.
-    The best restart objective wins, ties broken by lowest restart index.
+    The cumulant is ``sample_cumulant(whiten(y).whitened, order)``, bit for
+    bit below 32 columns, but each block of rows is whitened as the moment
+    pass reaches it, so no centred or whitened copy of y is built.  The
+    column count, the cube budget and the conversion budget are checked
+    before any pass over the data.  The rotation search assumes
+    uncorrelated sources: whitening maps the sources' covariance to the
+    identity only when it already is one, as for partitioned sources but
+    not, in general, for graph ones.  The best restart objective wins, ties
+    broken by lowest restart index.
     """
     opts = opts or RecoveryOptions()
     if pattern.order != opts.order:
@@ -441,7 +442,8 @@ def estimate_unmixing(y: np.ndarray, pattern: ZeroPattern, opts: RecoveryOptions
         raise ValueError(f"pattern dim {pattern.dim} != data column count {x.shape[1]}")
     mask = pattern.dense_zero_mask()
     _check_conversion_budget(pattern.dim, opts.order)
-    mean, transform, kappa = _whitened_cumulant(x, opts.order)
+    mean, transform = _whitening(x)
+    kappa = _cumulant(x, opts.order, (mean, transform))
     results = _run_restarts(kappa.to_dense(), mask, opts)
     objectives = [energy for _, energy, _ in results]
     best = int(np.argmin(objectives))

@@ -219,6 +219,8 @@ class SourceSpec:
             _resolve_dists(self.dist, self.dim)
         elif self.dist is not None:
             raise TypeError(f"graph sources take no dist, got {self.dist!r}")
+        else:
+            IndependenceGraph(self.dim, self.edges)  # its edge checks, when the spec is read
 
 
 def simulate(spec: SourceSpec, n: int, seed: int) -> np.ndarray:

@@ -353,6 +353,11 @@ def test_io_errors_exit_two(workdir, capsys):
         ({"kind": "independent", "d": 3, "dist": True}, simulate_bad_spec),
         ({"kind": "partitioned", "d": 4, "blocks": [[1, 2], [3, 4.0001]]}, simulate_bad_spec),
         ({"kind": "graph", "d": 3, "edges": [[1, 2.5]]}, simulate_bad_spec),
+        # an edge that is not a pair of vertices
+        ({"d": 3, "edges": [[1, 2, 3]]}, ["probe", "--graph", str(bad), "--seed", "0"]),
+        ({"kind": "graph", "order": 2, "dim": 2, "edges": [[1]]},
+         ["check", "--tensor", str(tensor_path), "--pattern", str(bad)]),
+        ({"kind": "graph", "d": 3, "edges": [[1, 2, 3]]}, simulate_bad_spec),
         # graph sources draw their own laws, so a spec that names one is refused
         ({"kind": "graph", "d": 3, "edges": [[1, 2], [1, 3]], "dist": "exponential"}, simulate_bad_spec),
         ({**report, "order": 4.5}, ["verify", "--report", str(bad), "--truth", str(truth_path), "--blocks", "2,2"]),

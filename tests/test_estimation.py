@@ -61,12 +61,11 @@ def test_moments_match_exact_means_within_rounding(d, r, n, split, seed):
     # An order-k mean rounds k - 1 products, at most 2n additions over the
     # rows and the blocks, and one division: within (k + 2n + 1) u of the
     # mean of |products|, u = 2^-53.  Split, each BLAS product takes at most
-    # 128 multiply-adds or one observation, and each pass one tile of them.
+    # 128 multiply-adds or one observation.
     x = np.random.default_rng(seed).standard_normal((n, d))
-    limits = (128, 1) if split else (estimation._PRODUCT_MACS, estimation._GRAM_ENTRIES)
     estimation._moment_plan.cache_clear()
     try:
-        with mock.patch.multiple(estimation, _PRODUCT_MACS=limits[0], _GRAM_ENTRIES=limits[1]):
+        with mock.patch.object(estimation, "_PRODUCT_MACS", 128 if split else estimation._PRODUCT_MACS):
             got = np.concatenate([m.values for m in sample_moments(x, r)])
     finally:
         estimation._moment_plan.cache_clear()
@@ -153,8 +152,9 @@ def test_streamed_whitened_cumulant_is_the_two_step_one_bit_for_bit(d, r, n):
     for layout in (x, np.asfortranarray(x), wide[:, 1 : d + 1]):
         white = whiten(layout)
         two_step = (white.mean, white.transform, sample_cumulant(white.whitened, r).values)
-        streamed = estimation._whitened_cumulant(layout, r)
-        assert [a.tobytes() for a in two_step] == [a.tobytes() for a in streamed[:2] + (streamed[2].values,)]
+        mean, transform = estimation._whitening(layout)
+        streamed = (mean, transform, estimation._cumulant(layout, r, (mean, transform)).values)
+        assert [a.tobytes() for a in two_step] == [a.tobytes() for a in streamed]
         bits.append(b"".join(a.tobytes() for a in two_step) + white.whitened.tobytes())
     assert bits[1:] == bits[:-1]
 
@@ -170,6 +170,31 @@ def test_whitened_moments_of_few_rows_are_those_of_the_whitened_rows(n):
     if n == 1:
         with pytest.raises(DegenerateDataError):
             whiten(x)
+
+
+def test_moments_take_one_walk_over_the_rows():
+    # one walk over the rows whitens each block once, however many sums it holds: more than 2^21 at d = 18, r = 8
+    rng = np.random.default_rng(18)
+    x, mean, transform = rng.standard_normal((2, 18)), rng.standard_normal(18), rng.standard_normal((18, 18))
+    try:
+        with mock.patch.object(estimation, "_rows_times", wraps=estimation._rows_times) as rows_times:
+            streamed = estimation._moments(x, 8, (mean, transform))
+        assert rows_times.call_count == 1
+        two_step = sample_moments(estimation._rows_times(x, transform, mean), 8)
+        assert [m.values.tobytes() for m in streamed] == [m.values.tobytes() for m in two_step]
+    finally:
+        estimation._moment_plan.cache_clear()  # the plan holds about 234 MB
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_moments_refuse_a_non_finite_value_in_the_last_block_without_a_check_pass(bad):
+    x = np.random.default_rng(0).standard_normal((2 * _BLOCK_ROWS + 5, 3))
+    x[-1, -1] = bad
+    with mock.patch.object(estimation, "as_sample_matrix", side_effect=AssertionError("a separate check pass")):
+        with pytest.raises(ValueError, match="non-finite"):
+            sample_moments(x, 6)
+        with pytest.raises(ValueError, match="non-finite"):
+            sample_cumulant(x, 6)
 
 
 @pytest.mark.parametrize("d", range(1, 12))
@@ -530,6 +555,16 @@ def test_write_csv_peak_memory_is_block_sized(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000, peak
+
+
+@pytest.mark.parametrize("name", ["x.csv", "x.csv.gz", "x.npy"])
+def test_write_csv_refuses_a_non_finite_last_row_before_any_file_exists(tmp_path, name):
+    # the last row is a block of its own in the finiteness check, after 42 blocks of the text writer
+    x = np.random.default_rng(2).standard_normal((2 * estimation._product_rows(4, 4) + 1, 4))
+    x[-1] = [1.0, np.nan, -np.inf, 2.0]
+    with pytest.raises(ValueError, match="non-finite"):
+        write_csv(tmp_path / name, x)
+    assert not (tmp_path / name).exists()
 
 
 @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -63,6 +64,9 @@ def test_graph_validation():
         IndependenceGraph(3, [(1, 1)])
     with pytest.raises(ValueError, match="outside"):
         IndependenceGraph(3, [(1, 4)])
+    for edge in ([1, 2, 3], [1], []):
+        with pytest.raises(ValueError, match=f"edge {re.escape(str(tuple(edge)))} is not a pair"):
+            IndependenceGraph(3, [(1, 2), edge])
     g = IndependenceGraph(3, [(2, 1), (1, 2)])
     assert g.sorted_edges() == [(1, 2)]
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pica import estimation, partitions, recovery
+from pica import partitions, recovery
 from pica._rng import substream
 from pica.estimation import DegenerateDataError, sample_cumulant, whiten
 from pica.groups import (
@@ -118,7 +118,7 @@ def test_estimate_unmixing_refuses_before_any_pass_over_the_data(monkeypatch):
     def data_pass(x):
         raise AssertionError("the data pass was reached")
 
-    monkeypatch.setattr(estimation, "_whitening", data_pass)
+    monkeypatch.setattr(recovery, "_whitening", data_pass)
     x = np.full((100, 4), np.nan)
     with pytest.raises(ValueError, match="dim 3 != data column count 4"):
         estimate_unmixing(x, diagonal_pattern(3, 4))
