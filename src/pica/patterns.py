@@ -32,8 +32,8 @@ from .tensor import (
     SymmetricTensor,
     _dense_rank_array,
     _index_rank,
+    _transform_modewise,
     canonical_indices,
-    marginalize,
     num_entries,
 )
 
@@ -280,15 +280,12 @@ def generic_sample(pattern: ZeroPattern, scale: float = 1.0, rng: int | np.rando
 def marginal_distinctness(tensor: SymmetricTensor, tol: float = POPULATION_TOL) -> bool:
     """True iff the fully marginalized diagonal values are pairwise separated.
 
-    Marginalizes down to a d x d matrix M and compares |M_ii - M_jj| > tol
-    for every pair.
+    Sums out all but two modes, in one contraction, down to a d x d matrix
+    M and compares |M_ii - M_jj| > tol for every pair.
     """
     if tensor.order < 2:
         raise ValueError("marginal distinctness requires order >= 2")
-    m = tensor
-    while m.order > 2:
-        m = marginalize(m)
-    diag = np.diagonal(m.to_dense())
+    diag = np.diagonal(_transform_modewise(np.ones(tensor.dim), tensor.to_dense(), tensor.order - 2))
     i, j = np.triu_indices(len(diag), 1)
     # a NaN difference compares False, so it never counts as a tie
     return not (np.abs(diag[i] - diag[j]) <= tol).any()

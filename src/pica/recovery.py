@@ -10,12 +10,13 @@ pairwise sweeps (1994), its critical points are the real roots of a real
 polynomial, so each plane angle is minimized exactly over a full period;
 a rotation is only accepted when it lowers the objective, so sweeps are
 monotone.  Restarts guard against local minima.  Restart 0 starts from
-the ICA solution, the descent on the diagonal pattern, with its rows
-reordered into the target's blocks by their exact target energy; the rest
-start at Haar draws.  The restarts descend in lockstep, as one
-stack of cubes of at most MAX_DENSE_ENTRIES entries, so each plane costs
-one search for the whole stack; each restart's result is bit for bit that
-of its own descent.
+the ICA solution, the descent on the diagonal pattern from the identity:
+on a diagonal target it is that descent, and on any other its result has
+its rows reordered into the target's blocks by their exact target energy.
+The rest start at Haar draws.  All the restarts on the target descend in
+one call, in lockstep, as stacks of cubes of at most MAX_DENSE_ENTRIES
+entries, so each plane costs one search per stack; each restart's result
+is bit for bit that of its own descent.
 
 Failure is a report, not an exception: some configurations are provably
 not identifiable, and the coset residual of the verification step is the
@@ -266,26 +267,29 @@ def _minimize_plane(stack: np.ndarray, mask: np.ndarray, i: int, j: int) -> np.n
 
 
 def _descend(
-    dense0: np.ndarray,
-    mask: np.ndarray,
-    starts: list[tuple[int, np.ndarray]],
-    opts: RecoveryOptions,
+    dense0: np.ndarray, mask: np.ndarray, starts: list[tuple[int, np.ndarray]]
 ) -> list[tuple[np.ndarray, float, int]]:
-    """Cyclic Givens descent from each (restart, rotation) start, in lockstep on one stack of cubes.
+    """Cyclic Givens descent from each (restart, rotation) start, in lockstep on stacks of cubes.
 
-    Each restart keeps its own sweep count, monotone check and stop, and
-    leaves the stack when it stops.  Every stacked operation gives a cube
-    the arithmetic it gets alone, so each result is that of its own descent.
+    The starts descend in order, as many at once as MAX_DENSE_ENTRIES
+    holds cubes, at least one.  Each restart keeps its own sweep count,
+    monotone check and stop, and leaves its stack when it stops.  Every
+    stacked operation gives a cube the arithmetic it gets alone, so each
+    result is that of its own descent, whatever stack it runs in.
     """
+    per = max(1, MAX_DENSE_ENTRIES // dense0.size)
+    if len(starts) > per:
+        stacks = [starts[first : first + per] for first in range(0, len(starts), per)]
+        return [result for stack in stacks for result in _descend(dense0, mask, stack)]
     d = dense0.shape[0]
     q = np.array([q0 for _, q0 in starts], dtype=float)
     stack = np.empty((len(q),) + dense0.shape)
     for cube, q0 in zip(stack, q):
-        cube[...] = _transform_modewise(q0, dense0)
+        cube[...] = _transform_modewise(q0, dense0, dense0.ndim)
     previous = [_dense_energy(cube, mask) for cube in stack]
     results = [(q0, energy, 0) for q0, energy in zip(q, previous)]
     live = np.arange(len(q))
-    for sweep in range(1, opts.max_sweeps + 1):
+    for sweep in range(1, RecoveryOptions.max_sweeps + 1):
         for i in range(d - 1):
             for j in range(i + 1, d):
                 theta = _minimize_plane(stack, mask, i, j)
@@ -354,35 +358,27 @@ def _regroup(dense: np.ndarray, mask: np.ndarray) -> list[int]:
 def _run_restarts(
     dense0: np.ndarray, mask: np.ndarray, opts: RecoveryOptions
 ) -> list[tuple[np.ndarray, float, int]]:
-    """Seeded restarts of the descent, in stacks of at most MAX_DENSE_ENTRIES entries.
+    """Seeded restarts of the descent, all in one ``_descend`` call on the target.
 
     Restart 0 starts from the ICA solution: the descent on the diagonal
-    pattern from the identity, with its rows reordered by ``_regroup`` to
-    group its coordinates into the target's blocks (the separation
-    principle of independent subspace analysis, Cardoso 1998); a reordering
-    needs no signs, as the energy does not see them.  Its sweep count
-    includes the diagonal descent's.  On a diagonal target the ICA solution
-    is restart 0's result: no reordering lowers that permutation-invariant
-    energy, and a second descent would only confirm it.  Restart k >= 1
-    starts at a Haar draw from its own substream of ``opts.seed``, a
-    fallback where that principle fails.  The starts descend in order, as
-    many at once as the budget holds cubes, at least one; each result is the
-    same whatever stack it runs in.
+    pattern from the identity.  On a diagonal target that descent is
+    restart 0 itself, from the identity; otherwise it runs first, and its
+    rows are reordered by ``_regroup`` to group its coordinates into the
+    target's blocks (the separation principle of independent subspace
+    analysis, Cardoso 1998), and restart 0's sweep count sums both
+    descents; a reordering needs no signs, as the energy does not see them.
+    Restart k >= 1 starts at a Haar draw from its own substream of
+    ``opts.seed``, a fallback where that principle fails.
     """
     d, r = dense0.shape[0], dense0.ndim
     ica_mask = diagonal_pattern(d, r).dense_zero_mask()
-    [(q_ica, ica_energy, ica_sweeps)] = _descend(dense0, ica_mask, [(0, np.eye(d))], opts)
-    starts = [(k, random_orthogonal(d, substream(opts.seed, "restart", k))) for k in range(1, opts.restarts)]
-    diagonal = np.array_equal(mask, ica_mask)
-    if not diagonal:
-        starts.insert(0, (0, q_ica[_regroup(_transform_modewise(q_ica, dense0), mask)]))
-    per = max(1, MAX_DENSE_ENTRIES // dense0.size)
-    results = [(q_ica, ica_energy, 0)] if diagonal else []
-    for first in range(0, len(starts), per):
-        results += _descend(dense0, mask, starts[first : first + per], opts)
-    q, energy, sweeps = results[0]
-    results[0] = (q, energy, ica_sweeps + sweeps)
-    return results
+    haar = [(k, random_orthogonal(d, substream(opts.seed, "restart", k))) for k in range(1, opts.restarts)]
+    if np.array_equal(mask, ica_mask):
+        return _descend(dense0, mask, [(0, np.eye(d))] + haar)
+    [(q_ica, _, ica_sweeps)] = _descend(dense0, ica_mask, [(0, np.eye(d))])
+    start = q_ica[_regroup(_transform_modewise(q_ica, dense0, r), mask)]
+    [(q, energy, sweeps), *results] = _descend(dense0, mask, [(0, start)] + haar)
+    return [(q, energy, ica_sweeps + sweeps), *results]
 
 
 def minimize_off_pattern(

@@ -262,17 +262,19 @@ def tensor_from_entries(
     return SymmetricTensor(order, dim, vals)
 
 
-def _transform_modewise(a: np.ndarray, dense: np.ndarray) -> np.ndarray:
-    """Contract every mode of the dense cube with ``a``, O(r d^{r+1}).
+def _transform_modewise(a: np.ndarray, dense: np.ndarray, modes: int) -> np.ndarray:
+    """Contract the leading ``modes`` modes of the dense cube with ``a``, O(modes d^{r+1}).
 
-    Each step contracts the leading mode by one matmul and rotates the
-    result to the back, so after r steps the modes are in order again.
+    ``a`` is a k x d matrix, or a length-d vector whose contracted modes
+    drop.  Each step contracts the leading mode by one matmul and moves the
+    result to the back, so the uncontracted modes come first, in order,
+    and the contracted ones follow them, in order.
     """
-    d = a.shape[0]
-    out = dense.reshape(d, -1)
-    for _ in range(dense.ndim):
-        out = (a @ out).T.reshape(d, -1)
-    return out.reshape(dense.shape)
+    d = dense.shape[0]
+    out = dense
+    for _ in range(modes):
+        out = (a @ out.reshape(d, -1)).T
+    return out.reshape(dense.shape[modes:] + a.shape[:-1] * modes)
 
 
 def multilinear_transform(a: np.ndarray, tensor: SymmetricTensor) -> SymmetricTensor:
@@ -284,7 +286,7 @@ def multilinear_transform(a: np.ndarray, tensor: SymmetricTensor) -> SymmetricTe
     a = np.asarray(a, dtype=float)
     if a.shape != (tensor.dim, tensor.dim):
         raise ValueError(f"matrix shape {a.shape} does not match dim {tensor.dim}")
-    return SymmetricTensor.from_dense(_transform_modewise(a, tensor.to_dense()))
+    return SymmetricTensor.from_dense(_transform_modewise(a, tensor.to_dense(), tensor.order))
 
 
 def marginalize(tensor: SymmetricTensor, position: int = 1) -> SymmetricTensor:
@@ -296,8 +298,7 @@ def marginalize(tensor: SymmetricTensor, position: int = 1) -> SymmetricTensor:
         raise ValueError("marginalize requires order >= 2")
     if not 1 <= position <= tensor.order:
         raise ValueError(f"position must be in 1..{tensor.order}")
-    dense = tensor.to_dense().sum(axis=position - 1)
-    return SymmetricTensor.from_dense(dense)
+    return SymmetricTensor.from_dense(_transform_modewise(np.ones(tensor.dim), tensor.to_dense(), 1))
 
 
 def polynomial_eval(tensor: SymmetricTensor, x: Sequence[float]) -> float:
@@ -305,10 +306,7 @@ def polynomial_eval(tensor: SymmetricTensor, x: Sequence[float]) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (tensor.dim,):
         raise ValueError(f"point has shape {x.shape}, expected ({tensor.dim},)")
-    w = tensor.to_dense()
-    for _ in range(tensor.order):
-        w = np.tensordot(w, x, axes=(0, 0))
-    return float(w)
+    return float(_transform_modewise(x, tensor.to_dense(), tensor.order))
 
 
 def hessian_eval(tensor: SymmetricTensor, x: Sequence[float]) -> np.ndarray:
@@ -321,10 +319,7 @@ def hessian_eval(tensor: SymmetricTensor, x: Sequence[float]) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (tensor.dim,):
         raise ValueError(f"point has shape {x.shape}, expected ({tensor.dim},)")
-    w = tensor.to_dense()
-    for _ in range(tensor.order - 2):
-        w = np.tensordot(w, x, axes=(0, 0))
-    return tensor.order * (tensor.order - 1) * w
+    return tensor.order * (tensor.order - 1) * _transform_modewise(x, tensor.to_dense(), tensor.order - 2)
 
 
 def tensor_to_json(tensor: SymmetricTensor) -> dict:

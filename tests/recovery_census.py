@@ -33,10 +33,12 @@ digest as above.  An objective failure is a failed draw that no search could
 recover: one more descent, started at the truth's rotation (the polar factor
 of (V A)^-1 for the whitening transform V and the mixing A), stays within 0.1
 of the truth's coset and ends at an objective no lower than the best
-restart's.  Restart 0's sweeps are its ICA descent's and its target
-descent's together, in both modes, so a `max_sweeps` count can flag restart
-0 when neither descent reached `max_sweeps` on its own.  This
-mode records; its exit code is 1 only if a recovery raised.
+restart's.  In both modes, restart 0's sweeps on a non-diagonal target are
+its ICA descent's and its target descent's together, so a `max_sweeps`
+count can flag restart 0 when neither descent reached `max_sweeps` on its
+own; on a diagonal target (all blocks of size 1) they are the ICA descent's
+own, as that descent is restart 0.  This mode records; its exit code is 1
+only if a recovery raised.
 """
 
 from __future__ import annotations
@@ -98,11 +100,11 @@ def recover_d4_census(seeds: tuple[int, int], passes: int) -> int:
     return 1 if failed or max_sweep_hits else 0
 
 
-def objective_failure(dense, mask, transform, a, structure, best_objective, opts) -> bool:
+def objective_failure(dense, mask, transform, a, structure, best_objective) -> bool:
     """Whether a descent from the truth's rotation, the polar factor of (V A)^-1, stays in the truth's coset
     and ends no lower than the best restart."""
     u, _, vt = np.linalg.svd(np.linalg.inv(transform @ a))
-    [(q, objective, _)] = _descend(dense, mask, [(0, u @ vt)], opts)
+    [(q, objective, _)] = _descend(dense, mask, [(0, u @ vt)])
     return verify_identifiability(q @ transform, a, structure).residual < RESIDUAL_GATE and objective >= best_objective
 
 
@@ -132,7 +134,7 @@ def structure_census(sizes: tuple[int, ...], draws: int) -> int:
         best = int(np.argmin(objectives))
         if not residuals[best] < RESIDUAL_GATE:
             failed_draws.append(s)
-            objective_failures += objective_failure(dense, mask, white.transform, a, structure, objectives[best], opts)
+            objective_failures += objective_failure(dense, mask, white.transform, a, structure, objectives[best])
         search_failures += not min(residuals) < RESIDUAL_GATE
         near_ties += any(
             k != best

@@ -531,9 +531,9 @@ def test_stacked_descent_gives_each_restart_its_own_descent(problem, seed):
     dense, mask, _, _ = problem
     d = len(dense)
     starts = list(enumerate([np.eye(d)] + [random_orthogonal(d, seed + k) for k in range(3)]))
-    stacked = recovery._descend(dense, mask, starts, RecoveryOptions())
+    stacked = recovery._descend(dense, mask, starts)
     for start, result in zip(starts, stacked):
-        [alone] = recovery._descend(dense, mask, [start], RecoveryOptions())
+        [alone] = recovery._descend(dense, mask, [start])
         assert _bytes(result) == _bytes(alone)
 
 
@@ -543,23 +543,38 @@ def test_flat_planes_keep_np_roots_inside_a_stack(monkeypatch):
     roots = np.roots
     monkeypatch.setattr(np, "roots", lambda p: polynomials.append(p) or roots(p))
     starts = list(enumerate([np.eye(4), random_orthogonal(4, 1), random_orthogonal(4, 2)]))
-    results = recovery._descend(dense, mask, starts, RecoveryOptions())
+    results = recovery._descend(dense, mask, starts)
     assert polynomials and not np.any(polynomials[0])
     # the identity stops after one sweep and leaves the stack; the others go on
     assert results[0][2] == 1 and min(sweeps for _, _, sweeps in results[1:]) > 1
 
 
-@pytest.mark.parametrize("d", [3, 5])
-def test_restart_zero_on_a_diagonal_target_is_the_ica_descent(d):
+@pytest.fixture
+def plane_stack_sizes(monkeypatch):
+    """The stack size of each ``_minimize_plane`` call, in order."""
+    sizes, minimize = [], recovery._minimize_plane
+
+    def recording(stack, *args):
+        sizes.append(len(stack))
+        return minimize(stack, *args)
+
+    monkeypatch.setattr(recovery, "_minimize_plane", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("d", [3, 5, 8])
+def test_restart_zero_on_a_diagonal_target_is_the_ica_descent(d, plane_stack_sizes):
     pattern = diagonal_pattern(d, 4)
     dense = multilinear_transform(random_orthogonal(d, d), generic_sample(pattern, rng=d)).to_dense()
-    mask, opts = pattern.dense_zero_mask(), RecoveryOptions(restarts=3, seed=d)
-    results = recovery._run_restarts(dense, mask, opts)
-    [ica] = recovery._descend(dense, mask, [(0, np.eye(d))], opts)
-    assert _bytes(results[0]) == _bytes(ica)
-    for restart, result in enumerate(results[1:], start=1):
-        [alone] = recovery._descend(dense, mask, [(restart, random_orthogonal(d, substream(d, "restart", restart)))], opts)
-        assert _bytes(result) == _bytes(alone)
+    mask = pattern.dense_zero_mask()
+    starts = [(0, np.eye(d))] + [(k, random_orthogonal(d, substream(d, "restart", k))) for k in range(1, 8)]
+    alone = [_bytes(result) for start in starts for result in recovery._descend(dense, mask, [start])]
+    for restarts in (2, 8):
+        plane_stack_sizes.clear()
+        results = recovery._run_restarts(dense, mask, RecoveryOptions(restarts=restarts, seed=d))
+        # the identity start descends in the stack of the Haar starts: no descent runs before them
+        assert plane_stack_sizes[0] == restarts
+        assert [_bytes(result) for result in results] == alone[:restarts]
 
 
 def test_restart_zero_on_a_partition_target_counts_both_descents():
@@ -567,9 +582,9 @@ def test_restart_zero_on_a_partition_target_counts_both_descents():
     dense = multilinear_transform(random_orthogonal(4, 3), generic_sample(pattern, rng=3)).to_dense()
     mask, opts = pattern.dense_zero_mask(), RecoveryOptions(restarts=1)
     [(_, _, sweeps)] = recovery._run_restarts(dense, mask, opts)
-    [(q_ica, _, ica_sweeps)] = recovery._descend(dense, diagonal_pattern(4, 4).dense_zero_mask(), [(0, np.eye(4))], opts)
-    start = q_ica[_regroup(_transform_modewise(q_ica, dense), mask)]
-    [(_, _, target_sweeps)] = recovery._descend(dense, mask, [(0, start)], opts)
+    [(q_ica, _, ica_sweeps)] = recovery._descend(dense, diagonal_pattern(4, 4).dense_zero_mask(), [(0, np.eye(4))])
+    start = q_ica[_regroup(_transform_modewise(q_ica, dense, 4), mask)]
+    [(_, _, target_sweeps)] = recovery._descend(dense, mask, [(0, start)])
     assert sweeps == ica_sweeps + target_sweeps
 
 
@@ -581,23 +596,21 @@ def test_fewer_restarts_are_the_first_results_of_more():
     assert [(q.tobytes(), e) for q, e in three] == [(q.tobytes(), e) for q, e in eight[:3]]
 
 
-def test_stacks_hold_at_most_the_dense_budget(monkeypatch):
-    # a diagonal mask: _regroup, which reads the same budget, keeps the identity on either path
-    pattern = diagonal_pattern(4, 4)
+@pytest.mark.parametrize(
+    "pattern",
+    [diagonal_pattern(4, 4), pattern_from_partition(PartitionSpec(4, ((1, 2), (3, 4))), 4)],
+    ids=["diagonal", "partition"],
+)
+def test_stacks_hold_at_most_the_dense_budget(pattern, plane_stack_sizes, monkeypatch):
     tensor = multilinear_transform(random_orthogonal(4, 1), generic_sample(pattern, rng=1))
     opts = RecoveryOptions(restarts=8, seed=2)
     whole = minimize_off_pattern(tensor, pattern, opts)
-    sizes = []
-    minimize = recovery._minimize_plane
-
-    def recording(stack, *args):
-        sizes.append(len(stack))
-        return minimize(stack, *args)
-
-    monkeypatch.setattr(recovery, "_minimize_plane", recording)
-    monkeypatch.setattr(recovery, "MAX_DENSE_ENTRIES", 2 * 4**4)
+    assert max(plane_stack_sizes) == 8
+    plane_stack_sizes.clear()
+    # four cubes; _regroup, which reads the same budget, still searches all 4! orders of the 35 entries
+    monkeypatch.setattr(recovery, "MAX_DENSE_ENTRIES", 4 * 4**4)
     split = minimize_off_pattern(tensor, pattern, opts)
-    assert max(sizes) == 2
+    assert max(plane_stack_sizes) == 4
     assert [(q.tobytes(), e) for q, e in split] == [(q.tobytes(), e) for q, e in whole]
 
 
@@ -608,7 +621,7 @@ def test_descent_error_names_its_restart(monkeypatch):
     monkeypatch.setattr(recovery, "_minimize_plane", lambda stack, mask, i, j: np.array([0.0, 0.3, 0.0]))
     starts = [(3, np.eye(3)), (4, np.eye(3)), (5, np.eye(3))]
     with pytest.raises(recovery.DescentError, match=r"^restart 4: objective increased within a sweep: 0\.0 -> "):
-        recovery._descend(dense, pattern.dense_zero_mask(), starts, RecoveryOptions())
+        recovery._descend(dense, pattern.dense_zero_mask(), starts)
 
 
 @pytest.mark.parametrize(

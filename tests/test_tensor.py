@@ -15,6 +15,7 @@ from pica.tensor import (
     _colex_ranks,
     _dense_rank_array,
     _permuted_ranks,
+    _transform_modewise,
     canonical_indices,
     canonical_rank,
     hessian_eval,
@@ -222,6 +223,23 @@ def test_high_order_transform_uses_modewise_route():
     q = rng.standard_normal((2, 2))
     out = multilinear_transform(q, t)
     np.testing.assert_allclose(out.to_dense(), direct_sum(q, t.to_dense()), atol=1e-12)
+
+
+def test_modewise_kernel_contracts_leading_modes_like_tensordot():
+    # a 1 x d matrix leaves its contracted modes as trailing axes of length 1; a vector drops them
+    rng = np.random.default_rng(37)
+    for dim in range(1, 6):
+        for order in range(1, 7):
+            dense = random_tensor(order, dim, rng).to_dense()
+            x = rng.standard_normal(dim)
+            want = dense
+            for k in range(order + 1):
+                if k:
+                    want = np.tensordot(want, x, axes=(0, 0))
+                got = _transform_modewise(x[None], dense, k)
+                assert got.shape == (dim,) * (order - k) + (1,) * k
+                np.testing.assert_allclose(got.reshape(want.shape), want, rtol=1e-12, atol=0)
+                np.testing.assert_array_equal(_transform_modewise(x, dense, k), got.reshape(want.shape))
 
 
 def test_transform_dimension_mismatch():
