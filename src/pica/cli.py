@@ -85,12 +85,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--blocks", required=True, help="block sizes, e.g. 2,2")
     p.add_argument("--threshold", type=_tolerance, default=0.1)
 
-    p = sub.add_parser("probe", help="graph-automorphism conjecture probe")
+    p = sub.add_parser("probe", help="exact graph-automorphism conjecture probe over every signed permutation")
     p.set_defaults(handler=_cmd_probe)
     p.add_argument("--graph", required=True, help="graph JSON path: {d, edges}")
     p.add_argument("--order", type=int, default=3)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", required=True, type=int)
+    p.add_argument("--trials", type=int, default=50,
+                   help="accepted and no longer used: the probe is exact; must be >= 1")
+    p.add_argument("--seed", required=True, type=int,
+                   help="accepted and no longer used: nothing is drawn; must be >= 0")
     p.add_argument("--out", help="optional report JSON path")
 
     return parser

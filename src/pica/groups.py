@@ -3,9 +3,9 @@
 Covers sampling (Haar orthogonal, signed permutations, block-orthogonal),
 classification of the blocks of a matrix as zero / full rank / singular,
 group-membership predicates, a coset residual measuring distance from the
-block-orthogonal group, graph-automorphism checks, and an empirical probe
-of the conjectured link between pattern-preserving signed permutations
-and graph automorphisms.
+block-orthogonal group, graph-automorphism checks, and an exact,
+exhaustive probe of the conjectured link between pattern-preserving
+signed permutations and graph automorphisms.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ from typing import Iterator
 import numpy as np
 
 from . import _json
-from ._rng import as_generator
-from .patterns import IndependenceGraph, generic_sample, pattern_from_graph
-from .tensor import _permuted_ranks, canonical_indices
+from ._rng import _seed, as_generator
+from .partitions import MAX_CONVERSION_ENTRIES
+from .patterns import IndependenceGraph, ZeroPattern, pattern_from_graph
+from .tensor import MAX_DENSE_ENTRIES, _check_shape, _permuted_ranks, canonical_indices
 
 __all__ = [
     "BlockStructure",
@@ -55,11 +56,6 @@ MAX_BLOCKS = 8
 
 DEFAULT_TOL_ZERO = 1e-10
 RANK_TOL_RATIO = 1e-6
-
-# conjecture_probe: membership tolerance for the transformed generic
-# members, and how many signed permutations it samples above dim 4.
-_PROBE_MEMBERSHIP_TOL = 1e-8
-_PROBE_SAMPLES = 500
 
 
 @dataclass(frozen=True)
@@ -389,19 +385,31 @@ def graph_automorphism_check(p: np.ndarray, graph: IndependenceGraph) -> bool:
     return bool(_automorphisms(perm[None], graph.adjacency())[0])
 
 
+def _preserves_zero_set(perms: np.ndarray, pattern: ZeroPattern) -> np.ndarray:
+    """Which rows pi of ``perms`` (pi[i] the image of i) map the pattern's zero set Z onto itself.
+
+    A signed permutation q with q[i, pi(i)] = +-1 sends entry i of a tensor
+    to +-T[pi(i)], and a generic member is nonzero exactly off Z, so q keeps
+    the pattern iff pi maps Z into Z, whatever its signs.  The permuted
+    ranks are gathered in stacks of at most MAX_DENSE_ENTRIES entries.
+    """
+    idx = canonical_indices(pattern.dim, pattern.order)[pattern.zero_mask] - 1
+    per = max(1, MAX_DENSE_ENTRIES // max(1, len(idx)))
+    stacks = [perms[first : first + per] for first in range(0, len(perms), per)]
+    return np.concatenate([pattern.zero_mask[_permuted_ranks(stack, idx)].all(axis=1) for stack in stacks])
+
+
 @dataclass
 class ProbeReport:
-    """Outcome of the pattern-preservation vs graph-automorphism probe."""
+    """Outcome of the pattern-preservation vs graph-automorphism probe, counted in signed matrices."""
 
     dim: int
     order: int
-    trials: int
     exhaustive: bool
     matrices_checked: int
     automorphism_count: int
     agreements: int
     disagreements: list[dict] = field(default_factory=list)
-    per_matrix: list[dict] = field(default_factory=list)
 
     @property
     def conjecture_holds(self) -> bool:
@@ -418,66 +426,50 @@ def conjecture_probe(
     trials: int,
     rng: int | np.random.Generator = 0,
 ) -> ProbeReport:
-    """Probe: signed permutation preserves the graph pattern iff automorphism.
+    """Exact probe: a signed permutation preserves the graph pattern iff its permutation is an automorphism.
 
-    Enumerates signed permutations exhaustively for dim <= 4 and samples
-    _PROBE_SAMPLES of them otherwise; for each, tests pattern preservation
-    on ``trials`` generic pattern members against the automorphism
-    predicate on the unsigned permutation.  Any mismatch is a
-    counterexample candidate.
+    Every one of the d! permutations is checked, by ``_preserves_zero_set``
+    against the automorphism predicate, and counts for its 2^d sign choices,
+    which never change either verdict.  A disagreement names its
+    permutation by the images of vertices 1..d.  No tensor is drawn:
+    ``trials`` (at least 1) and ``rng`` (a generator or a seed >= 0) are
+    validated and not used.  The zero set Z's permuted ranks and the
+    permuted adjacency matrix gather d! (|Z| + d^2) entries; more than
+    MAX_CONVERSION_ENTRIES is refused before any permutation is built.
     """
-    d = graph.dim
-    if d > 6 or order > 4:
-        raise ValueError("probe supports dim <= 6 and order <= 4")
     if trials < 1:
         raise ValueError(f"probe needs trials >= 1, got {trials}")
-    g = as_generator(rng)
-    pattern = pattern_from_graph(graph, order)
-    tensors = [generic_sample(pattern, rng=g) for _ in range(trials)]
-
-    exhaustive = d <= 4
-    if exhaustive:
-        matrices = list(signed_permutations(d))
-    else:
-        matrices = [random_signed_permutation(d, g) for _ in range(_PROBE_SAMPLES)]
-
-    # A signed permutation q (q[i, pi(i)] = s_i) maps entry i of a tensor to
-    # s_{i_1}..s_{i_r} T[sort(pi(i))]: the dense contraction adds only exact
-    # zeros to that one product, and membership sees only its magnitude, so
-    # gathering the zero set gives is_member's max violation bit for bit.
-    zero_idx = canonical_indices(d, order)[pattern.zero_mask] - 1
-    perms = np.abs(np.array(matrices)).argmax(axis=2)
-    ranks = _permuted_ranks(perms, zero_idx)
-    violations = np.array([np.abs(t.values[ranks]).max(axis=-1, initial=0.0) for t in tensors])
-    members = violations <= _PROBE_MEMBERSHIP_TOL
-    auto = _automorphisms(perms, graph.adjacency())
-    # plain Python values, so that the report's JSON is that of ints, bools and floats
-    autos = auto.tolist()
+    if not isinstance(rng, np.random.Generator):
+        _seed(rng)
+    d = graph.dim
+    _check_shape(order, d)
+    # d! d^2 alone passes the budget only below d = 10, so no larger pattern is built
+    count = math.factorial(d)
+    entries = count * d * d
+    if entries <= MAX_CONVERSION_ENTRIES:
+        pattern = pattern_from_graph(graph, order)
+        entries += count * int(pattern.zero_mask.sum())
+    if entries > MAX_CONVERSION_ENTRIES:
+        raise ValueError(
+            f"the probe at d = {d}, r = {order} gathers d! (|Z| + d^2) entries, "
+            f"over the budget {MAX_CONVERSION_ENTRIES}"
+        )
+    perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(d))), dtype=np.int8).reshape(-1, d)
+    preserves = _preserves_zero_set(perms, pattern)
+    auto = _automorphisms(perms, graph.adjacency() > 0)
+    signs, wrong = 2**d, np.flatnonzero(preserves != auto)
     disagreements = [
-        {
-            "matrix_index": qi,
-            "matrix": matrices[qi].tolist(),
-            "trial": ti,
-            "is_automorphism": autos[qi],
-            "preserves_pattern": not autos[qi],
-            "max_violation": float(violations[ti, qi]),
-        }
-        for qi, ti in zip(*(k.tolist() for k in np.nonzero(members.T != auto[:, None])))
-    ]
-    per_matrix = [
-        {"matrix_index": qi, "is_automorphism": a, "preserves_pattern": verdicts}
-        for qi, (a, verdicts) in enumerate(zip(autos, members.T.tolist()))
+        {"permutation": (perms[k] + 1).tolist(), "is_automorphism": a, "preserves_pattern": not a}
+        for k, a in zip(wrong, auto[wrong].tolist())
     ]
     return ProbeReport(
         dim=d,
         order=order,
-        trials=trials,
-        exhaustive=exhaustive,
-        matrices_checked=len(matrices),
-        automorphism_count=int(auto.sum()),
-        agreements=int((members == auto).sum()),
+        exhaustive=True,
+        matrices_checked=signs * len(perms),
+        automorphism_count=signs * int(auto.sum()),
+        agreements=signs * (len(perms) - len(wrong)),
         disagreements=disagreements,
-        per_matrix=per_matrix,
     )
 
 

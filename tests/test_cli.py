@@ -390,6 +390,8 @@ def test_empty_and_out_of_range_inputs_exit_two(workdir, capsys):
     tensor_path, no_d_graph = workdir / "t.json", workdir / "no_d.json"
     save_tensor(tensor_from_entries(4, 2, []), tensor_path)
     no_d_graph.write_text(json.dumps({"edges": []}))
+    nine_graph = workdir / "nine.json"
+    nine_graph.write_text(json.dumps({"d": 9, "edges": [[1, 2]]}))
     dim_patterns = {dim: workdir / f"dim{dim}.json" for dim in (0, -2)}
     for dim, path in dim_patterns.items():
         path.write_text(json.dumps({"kind": "diagonal", "order": 4, "dim": dim}))
@@ -402,6 +404,9 @@ def test_empty_and_out_of_range_inputs_exit_two(workdir, capsys):
         (["probe", "--graph", str(no_d_graph), "--seed", "0"], "dim must be positive, got 0"),
         (["probe", "--graph", str(graph_path), "--trials", "0", "--seed", "0"], "trials >= 1, got 0"),
         (["probe", "--graph", str(graph_path), "--trials", "-1", "--seed", "0"], "trials >= 1, got -1"),
+        # 9! (154 + 81) entries to gather at r = 3, refused before the permutation table is built
+        (["probe", "--graph", str(nine_graph), "--order", "3", "--seed", "0", "--out", out],
+         "the probe at d = 9, r = 3 gathers d! (|Z| + d^2) entries, over the budget 67108864"),
         (["cumulants", "--in", str(empty_csv), "--order", "4", "--out", out], "must be non-empty"),
         (["cumulants", "--in", str(data), "--order", "0", "--out", out], "order must be in 1..8, got 0"),
         # C(67, 8) unique entries are refused before any tuple is built

@@ -1,7 +1,9 @@
 import dataclasses
+import importlib.util
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +13,6 @@ from hypothesis import strategies as st
 from pica import groups
 from pica._rng import as_generator
 from pica.groups import (
-    _PROBE_MEMBERSHIP_TOL,
-    _PROBE_SAMPLES,
     BlockLabel,
     BlockStructure,
     classify_blocks,
@@ -37,6 +37,7 @@ from pica.groups import (
 from pica.patterns import (
     IndependenceGraph,
     PartitionSpec,
+    diagonal_pattern,
     generic_sample,
     is_member,
     pattern_from_graph,
@@ -419,31 +420,31 @@ def test_conjecture_probe_complete_graph_degenerate():
 
 
 def reference_probe(graph, order, trials, rng, tol):
-    """conjecture_probe's report from one dense transform and membership test per (matrix, trial)."""
+    """Per signed matrix, the probe's question asked of one dense transform and membership test per generic member.
+
+    Every signed matrix at d <= 4, 200 seeded draws above.  Each row holds the matrix's permutation, whether
+    that is an automorphism, whether every transformed member is a member within ``tol``, and the largest
+    violation over the members.
+    """
     g = as_generator(rng)
     pattern = pattern_from_graph(graph, order)
     tensors = [generic_sample(pattern, rng=g) for _ in range(trials)]
     if graph.dim <= 4:
         matrices = list(signed_permutations(graph.dim))
     else:
-        matrices = [random_signed_permutation(graph.dim, g) for _ in range(_PROBE_SAMPLES)]
-    agreements, automorphisms, disagreements, per_matrix = 0, 0, [], []
-    for qi, q in enumerate(matrices):
-        auto = graph_automorphism_check(np.abs(q), graph)
-        automorphisms += auto
-        verdicts = []
-        for ti, t in enumerate(tensors):
-            res = is_member(multilinear_transform(q, t), pattern, tol)
-            verdicts.append(bool(res.member))
-            if res.member == auto:
-                agreements += 1
-            else:
-                disagreements.append({"matrix_index": qi, "matrix": q.tolist(), "trial": ti, "is_automorphism": auto,
-                                      "preserves_pattern": res.member, "max_violation": res.max_violation})
-        per_matrix.append({"matrix_index": qi, "is_automorphism": bool(auto), "preserves_pattern": verdicts})
-    return {"dim": graph.dim, "order": order, "trials": trials, "exhaustive": graph.dim <= 4,
-            "matrices_checked": len(matrices), "automorphism_count": automorphisms, "agreements": agreements,
-            "disagreements": disagreements, "per_matrix": per_matrix, "conjecture_holds": not disagreements}
+        matrices = [random_signed_permutation(graph.dim, g) for _ in range(200)]
+    rows = []
+    for q in matrices:
+        results = [is_member(multilinear_transform(q, t), pattern, tol) for t in tensors]
+        rows.append((np.abs(q).argmax(axis=1), graph_automorphism_check(np.abs(q), graph),
+                     all(res.member for res in results), max(res.max_violation for res in results)))
+    return rows
+
+
+def seeded_graph(d, seed):
+    """Each vertex pair an edge with probability 1/2."""
+    keep = np.random.default_rng(seed).random(math.comb(d, 2)) < 0.5
+    return [pair for pair, k in zip(itertools.combinations(range(1, d + 1), 2), keep) if k]
 
 
 PROBE_GRAPHS = {
@@ -451,41 +452,103 @@ PROBE_GRAPHS = {
     "chain": lambda d: [(v, v + 1) for v in range(1, d)],
     "empty": lambda d: [],
     "complete": lambda d: list(itertools.combinations(range(1, d + 1), 2)),
+    **{f"random{seed}": lambda d, seed=seed: seeded_graph(d, seed) for seed in range(3)},
 }
 
 
-# at tolerance 1.0 some non-automorphisms pass as members, so the report
-# records their disagreements and max violations
-@pytest.mark.parametrize("tol", [_PROBE_MEMBERSHIP_TOL, 1.0])
+# the dense reference's membership tolerance: a preserving matrix leaves exact zeros, so it is a member at
+# both; at 1e-8 no other matrix is, while at 1.0 some pass, which is why the probe asks for exact zeros
+@pytest.mark.parametrize("tol", [1e-8, 1.0])
 @pytest.mark.parametrize("order", [3, 4])
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
 @pytest.mark.parametrize("kind", sorted(PROBE_GRAPHS))
-def test_conjecture_probe_matches_dense_transforms(kind, d, order, tol, monkeypatch):
+def test_conjecture_probe_matches_dense_transforms(kind, d, order, tol):
     # the complete graph has an empty zero set
     graph = IndependenceGraph(d, PROBE_GRAPHS[kind](d))
-    monkeypatch.setattr(groups, "_PROBE_MEMBERSHIP_TOL", tol)
-    report = conjecture_probe(graph, order, trials=3, rng=d * order)
-    assert report.to_json() == reference_probe(graph, order, 3, d * order, tol)
+    rows = reference_probe(graph, order, 3, d * order, tol)
+    exact = groups._preserves_zero_set(np.array([perm for perm, *_ in rows]), pattern_from_graph(graph, order))
+    for (perm, auto, member, violation), keeps in zip(rows, exact.tolist()):
+        assert keeps == (violation == 0.0) == auto, perm
+        assert member == keeps or (tol == 1.0 and member), perm
+    autos = sum(graph_automorphism_check(np.eye(d)[list(p)], graph) for p in itertools.permutations(range(d)))
+    signed = 2**d * math.factorial(d)
+    expected = {"dim": d, "order": order, "exhaustive": True, "matrices_checked": signed,
+                "automorphism_count": 2**d * autos, "agreements": signed, "disagreements": [], "conjecture_holds": True}
+    assert conjecture_probe(graph, order, trials=3, rng=d * order).to_json() == expected
 
 
-def test_probe_report_json_is_the_deep_copy_json():
-    # tolerance 1.0 gives disagreements as well as per-matrix verdicts
-    graph = IndependenceGraph(4, PROBE_GRAPHS["star"](4))
-    for tol in (_PROBE_MEMBERSHIP_TOL, 1.0):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(groups, "_PROBE_MEMBERSHIP_TOL", tol)
-            report = conjecture_probe(graph, 3, trials=20, rng=0)
-        deep = {**dataclasses.asdict(report), "conjecture_holds": report.conjecture_holds}
-        assert json.dumps(report.to_json(), indent=2) == json.dumps(deep, indent=2)
+def test_probe_report_json_is_the_deep_copy_json(monkeypatch):
+    star = IndependenceGraph(4, PROBE_GRAPHS["star"](4))
+    # the benchmark's probe: its whole report is a few lines
+    assert len(json.dumps(conjecture_probe(star, 3, 20, 5).to_json(), indent=2)) < 1024
+    # with no permutation called an automorphism, the star's 6 hub-fixing permutations disagree, each named
+    monkeypatch.setattr(groups, "_automorphisms", lambda perms, a: np.zeros(len(perms), dtype=bool))
+    report = conjecture_probe(star, 3, trials=1)
+    assert not report.conjecture_holds
+    assert report.agreements == 384 - 96 and report.automorphism_count == 0
+    assert [d["permutation"] for d in report.disagreements] == [[1, *p] for p in itertools.permutations((2, 3, 4))]
+    assert all(not d["is_automorphism"] and d["preserves_pattern"] for d in report.disagreements)
+    deep = {**dataclasses.asdict(report), "conjecture_holds": report.conjecture_holds}
+    assert json.dumps(report.to_json(), indent=2) == json.dumps(deep, indent=2)
 
 
-def test_conjecture_probe_bounds():
-    big = IndependenceGraph(7, [(1, 2)])
-    with pytest.raises(ValueError):
-        conjecture_probe(big, 3, trials=1)
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("sizes", [(2, 2), (2, 1), (1, 1, 2, 2), (2, 3, 3)])
+def test_zero_set_rule_gives_the_block_respecting_permutations(sizes, order):
+    structure = BlockStructure(sizes)
+    d, offsets = structure.dim, list(structure.offsets)
+    spec = PartitionSpec(d, tuple(tuple(range(o + 1, o + k + 1)) for o, k in zip(offsets, sizes)))
+    perms = np.array(list(itertools.permutations(range(d))))
+    preserves = groups._preserves_zero_set(perms, pattern_from_partition(spec, order))
+    # pi respects the blocks iff it maps each block onto one block of its size: block b onto sigma(b)
+    labels = np.repeat(np.arange(len(sizes)), sizes)[perms]
+    sigma = labels[:, offsets]
+    respects = np.ones(len(perms), dtype=bool)
+    for b, k in enumerate(sizes):
+        respects &= (labels[:, structure.span(b)] == sigma[:, b : b + 1]).all(axis=1)
+        respects &= np.array(sizes)[sigma[:, b]] == k
+    assert np.array_equal(preserves, respects)
+    compatible = list(compatible_block_permutations(structure))
+    assert set(map(tuple, sigma[preserves].tolist())) == set(compatible)
+    assert preserves.sum() == math.prod(map(math.factorial, sizes)) * len(compatible)
+    assert groups._preserves_zero_set(perms, diagonal_pattern(d, order)).all()
+
+
+def test_conjecture_probe_bounds(monkeypatch):
+    # d! (|Z| + d^2) at r = 3: 8! (110 + 64) for one edge on 8 vertices, 9! (154 + 81) > 2^26 on 9
+    assert conjecture_probe(IndependenceGraph(8, [(1, 2)]), 3, trials=1).conjecture_holds
+    star = conjecture_probe(IndependenceGraph(8, PROBE_GRAPHS["star"](8)), 4, trials=1)
+    assert star.matrices_checked == 2**8 * math.factorial(8) and star.automorphism_count == 2**8 * math.factorial(7)
+    assert star.conjecture_holds
+
+    def no_table(*args):
+        raise AssertionError("the permutation table was built")
+
+    monkeypatch.setattr(itertools, "permutations", no_table)
+    with pytest.raises(ValueError, match=r"d = 9, r = 3 gathers d! \(\|Z\| \+ d\^2\) entries, over the budget"):
+        conjecture_probe(IndependenceGraph(9, [(1, 2)]), 3, trials=1)
+    # from d = 10 on, d! d^2 alone is over the budget, and no pattern is built either
+    monkeypatch.setattr(groups, "pattern_from_graph", no_table)
+    with pytest.raises(ValueError, match="d = 12, r = 3 gathers"):
+        conjecture_probe(IndependenceGraph(12, []), 3, trials=1)
     for trials in (0, -1):
         with pytest.raises(ValueError, match="trials >= 1"):
             conjecture_probe(IndependenceGraph(3, [(1, 2)]), 3, trials=trials)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        conjecture_probe(IndependenceGraph(3, [(1, 2)]), 3, trials=1, rng=-1)
+
+
+def test_conjecture_census_script(capsys, monkeypatch):
+    spec = importlib.util.spec_from_file_location("conjecture_census", Path(__file__).with_name("conjecture_census.py"))
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    assert census.main(["--dim", "4"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(o["dim"], o["pairs"], o["disagreements"]) for o in lines] == [(2, 4, 0), (3, 16, 0), (4, 128, 0)]
+    monkeypatch.setattr(groups, "_automorphisms", lambda perms, a: np.zeros(len(perms), dtype=bool))
+    assert census.main(["--dim", "2", "--orders", "3"]) == 1
+    [line] = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert line["disagreements"] == 2 and line["counterexample"]["edges"] == []
 
 
 def test_block_orthogonal_preserves_partition_pattern():
