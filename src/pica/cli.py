@@ -99,8 +99,10 @@ def _build_parser() -> _Parser:
 
 
 def _graph_from_json(obj: dict) -> patterns.IndependenceGraph:
-    dim = _json.integer(obj.get("d", obj.get("dim", 0)))
-    return patterns.IndependenceGraph(dim, [tuple(map(_json.integer, e)) for e in obj["edges"]])
+    dim = obj.get("d", obj.get("dim"))
+    if dim is None:
+        raise ValueError("the graph names no vertex count: missing d")
+    return patterns.IndependenceGraph(_json.integer(dim), [tuple(map(_json.integer, e)) for e in obj["edges"]])
 
 
 def _cmd_simulate(args) -> int:

@@ -241,14 +241,6 @@ def is_signed_permutation(q: np.ndarray, tol: float = DEFAULT_TOL_ZERO) -> bool:
     return bool((np.abs(np.abs(q[nz]) - 1.0) <= tol).all())
 
 
-def _block_support(q: np.ndarray, structure: BlockStructure, tol: float) -> np.ndarray | None:
-    """0/1 block-occupancy matrix, or None when some row/column has != 1 block."""
-    occ = _block_peaks(q, structure) > tol
-    if not (occ.sum(axis=0) == 1).all() or not (occ.sum(axis=1) == 1).all():
-        return None
-    return occ
-
-
 def is_block_orthogonal(q: np.ndarray, structure: BlockStructure, tol: float = DEFAULT_TOL_ZERO) -> bool:
     """One nonzero (orthogonal) block per block row and column.
 
@@ -258,25 +250,15 @@ def is_block_orthogonal(q: np.ndarray, structure: BlockStructure, tol: float = D
     q = _check_square(q, structure.dim)
     if orthogonality_defect(q) > tol:
         return False
-    occ = _block_support(q, structure, tol)
-    if occ is None:
+    occ = _block_peaks(q, structure) > tol
+    if not (occ.sum(axis=0) == 1).all() or not (occ.sum(axis=1) == 1).all():
         return False
-    for i, j in zip(*np.nonzero(occ)):
-        if structure.sizes[i] != structure.sizes[j]:
-            return False
-    return True
+    return all(structure.sizes[i] == structure.sizes[j] for i, j in zip(*np.nonzero(occ)))
 
 
 def is_block_signed_permutation(q: np.ndarray, structure: BlockStructure, tol: float = DEFAULT_TOL_ZERO) -> bool:
-    """Block-orthogonal with every nonzero block a signed permutation."""
-    q = _check_square(q, structure.dim)
-    if not is_block_orthogonal(q, structure, tol):
-        return False
-    occ = _block_support(q, structure, tol)
-    for i, j in zip(*np.nonzero(occ)):
-        if not is_signed_permutation(structure.block(q, i, j), tol):
-            return False
-    return True
+    """Block-orthogonal with signed-permutation blocks: zero off those blocks, q is then a signed permutation."""
+    return is_block_orthogonal(q, structure, tol) and is_signed_permutation(q, tol)
 
 
 def _best_assignment(gain: list[list[float]]) -> list[int]:

@@ -301,14 +301,10 @@ def sample_membership_tol(tensor: SymmetricTensor, pattern: ZeroPattern, n_sampl
 
 
 def pattern_to_json(pattern: ZeroPattern) -> dict:
-    obj: dict = {"kind": pattern.kind, "order": pattern.order, "dim": pattern.dim}
-    if pattern.kind == "partition":
-        obj["blocks"] = pattern.meta["blocks"]
-    elif pattern.kind == "graph":
-        obj["edges"] = pattern.meta["edges"]
-    elif pattern.kind == "composite":
+    """kind, order, dim and the ``meta`` its builder stored: a partition's blocks or a graph's edges."""
+    if pattern.kind == "composite":
         raise ValueError("composite patterns have no JSON form")
-    return obj
+    return {"kind": pattern.kind, "order": pattern.order, "dim": pattern.dim, **pattern.meta}
 
 
 def pattern_from_json(obj: dict) -> ZeroPattern:

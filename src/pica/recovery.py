@@ -130,28 +130,13 @@ def _apply_plane(stack: np.ndarray, i: int, j: int, c: np.ndarray, s: np.ndarray
         stack[head + (j,)] = s * ti + c * tj
 
 
-@lru_cache(maxsize=None)
-def _sample_powers(r: int) -> tuple[np.ndarray, ...]:
-    """Kronecker powers G^{(x)m}, m = 1..r, of the plane rotation at the 2r+1 sample angles pi k / (2r+1)."""
-    t = math.pi * np.arange(2 * r + 1) / (2 * r + 1)
-    c, s = np.cos(t), np.sin(t)
-    g = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], 1)
-    powers = [g]
-    for _ in range(1, r):
-        size = 2 * powers[-1].shape[1]
-        powers.append(np.einsum("tab,tcd->tacbd", powers[-1], g).reshape(len(g), size, size))
-    for p in powers:
-        p.flags.writeable = False
-    return tuple(powers)
-
-
 def _plane_positions(d: int, r: int, i: int, j: int) -> list[np.ndarray]:
-    """Read-only flat cube positions of each block of plane (i, j), m = 1..r (m = r alone at d = 2), in C order.
+    """Read-only flat cube positions of each block of plane (i, j), m = 1..r, in C order.
 
-    Block m holds the indices whose first m entries lie in {i, j} and whose others do not.
+    Block m holds the indices whose first m entries lie in {i, j} and the rest outside; empty at d = 2 for m < r.
     """
     pair, rest = [i, j], [k for k in range(d) if k != i and k != j]
-    grids = [np.ix_(*[pair] * m, *[rest] * (r - m)) for m in range(1 if rest else r, r + 1)]
+    grids = [np.ix_(*[pair] * m, *[rest] * (r - m)) for m in range(1, r + 1)]
     blocks = [np.ravel_multi_index(grid, (d,) * r).ravel() for grid in grids]
     for block in blocks:
         block.flags.writeable = False
@@ -159,49 +144,27 @@ def _plane_positions(d: int, r: int, i: int, j: int) -> list[np.ndarray]:
 
 
 @lru_cache(maxsize=4)
-def _plane_table(d: int, r: int) -> dict[tuple[int, int], list[np.ndarray]] | None:
-    """Every plane's ``_plane_positions``; None where together they exceed MAX_DENSE_ENTRIES positions."""
-    if math.comb(d, 2) * sum(map(len, _plane_positions(d, r, 0, 1))) > MAX_DENSE_ENTRIES:
-        return None
-    return {plane: _plane_positions(d, r, *plane) for plane in itertools.combinations(range(d), 2)}
+def _plane_kernel(d: int, r: int) -> tuple:
+    """The plane search's fixed data at (d, r), read-only: (powers, maps, freq, shift, planes).
 
-
-def _plane_energies(stack: np.ndarray, mask: np.ndarray, i: int, j: int, powers) -> np.ndarray:
-    """Energy of each cube after each plane-(i, j) rotation of ``powers``, less the part no such rotation moves.
-
-    Only entries with an index in {i, j} move.  By the symmetry of the cube
-    and the mask, those with exactly m such positions split into C(r, m)
-    blocks of equal energy, so one block per m, with its first m indices in
-    {i, j} and the rest outside, stands for all of them.  Their positions
-    come from ``_plane_table``, or are built per call where it holds none.
-    Returns one row of samples per cube.
-    """
-    b, d, r = len(stack), stack.shape[1], stack.ndim - 1
-    table = _plane_table(d, r)
-    blocks = _plane_positions(d, r, i, j) if table is None else table[i, j]
-    flat, n = stack.reshape(b, -1), len(powers[0])
-    energies = np.zeros((b, n))
-    # the blocks run from m = 1, or m = r at d = 2, to m = r
-    for m, positions in enumerate(blocks, r + 1 - len(blocks)):
-        # the n rotations stacked as rows: one product per cube
-        rotated = powers[m - 1].reshape(-1, 2**m) @ np.take(flat, positions, axis=1).reshape(b, 2**m, -1)
-        np.square(rotated, out=rotated)
-        energies += math.comb(r, m) * (rotated.reshape(b, n, -1) @ mask.reshape(-1)[positions])
-    return energies
-
-
-@lru_cache(maxsize=None)
-def _tangent_maps(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fixed real maps from the 2r+1 samples of a plane energy to its tangent polynomial and its real series.
-
-    With w_k the Fourier weights of f(t) = sum_{k=0..r} Re(w_k e^{2ikt}),
-    from the ``rfft`` of the samples, ``samples @ maps[:, :2r+1]`` are the
-    coefficients, highest degree first, of the degree-2r polynomial
-    P(x) = sum_{k=1..r} k Im(w_k (1+ix)^{2k} (1+x^2)^{r-k}), which is
-    -f'(t) cos(t)^{-2r} / 2 at x = tan t; ``samples @ maps[:, 2r+1:]`` are
-    the a_q of f(t) = sum_q a_q cos(freq_q t - shift_q).
+    ``powers`` are the Kronecker powers G^{(x)m}, m = 1..r, of the plane
+    rotation at the 2r+1 sample angles pi k / (2r+1), and ``planes`` maps
+    each plane (i, j) to its ``_plane_positions``, or is None where together
+    they exceed MAX_DENSE_ENTRIES positions.  With w_k the Fourier weights of
+    f(t) = sum_{k=0..r} Re(w_k e^{2ikt}), from the ``rfft`` of the samples,
+    ``samples @ maps[:, :2r+1]`` are the coefficients, highest degree first,
+    of P(x) = sum_{k=1..r} k Im(w_k (1+ix)^{2k} (1+x^2)^{r-k}) of degree 2r,
+    which is -f'(t) cos(t)^{-2r} / 2 at x = tan t; ``samples @ maps[:, 2r+1:]``
+    are the a_q of f(t) = sum_q a_q cos(freq_q t - shift_q).
     """
     n = 2 * r + 1
+    t = math.pi * np.arange(n) / n
+    c, s = np.cos(t), np.sin(t)
+    g = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], 1)
+    powers = [g]
+    for _ in range(1, r):
+        size = 2 * powers[-1].shape[1]
+        powers.append(np.einsum("tab,tcd->tacbd", powers[-1], g).reshape(n, size, size))
     w = np.fft.rfft(np.eye(n), axis=1) / n
     w[:, 1:] *= 2
     k = np.arange(1, r + 1)
@@ -214,9 +177,35 @@ def _tangent_maps(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     maps = np.concatenate([np.imag(k * w[:, 1:] @ np.array(basis)), w.real, -w[:, 1:].imag], axis=1)
     freq = 2.0 * np.concatenate([np.arange(r + 1), k])
     shift = np.where(np.arange(n) > r, math.pi / 2, 0.0)
-    for a in (maps, freq, shift):
+    for a in (*powers, maps, freq, shift):
         a.flags.writeable = False
-    return maps, freq, shift
+    planes = None
+    if math.comb(d, 2) * sum(map(len, _plane_positions(d, r, 0, 1))) <= MAX_DENSE_ENTRIES:
+        planes = {plane: _plane_positions(d, r, *plane) for plane in itertools.combinations(range(d), 2)}
+    return tuple(powers), maps, freq, shift, planes
+
+
+def _plane_energies(stack: np.ndarray, mask: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Energy of each cube after each plane-(i, j) rotation of the kernel's powers, less the part none of them moves.
+
+    Only entries with an index in {i, j} move.  By the symmetry of the cube
+    and the mask, those with exactly m such positions split into C(r, m)
+    blocks of equal energy, so one block per m, with its first m indices in
+    {i, j} and the rest outside, stands for all of them.  Their positions
+    come from ``_plane_kernel``, or are built per call where it holds none;
+    an empty block adds exact zeros.  Returns one row of samples per cube.
+    """
+    b, d, r = len(stack), stack.shape[1], stack.ndim - 1
+    powers, _, _, _, planes = _plane_kernel(d, r)
+    blocks = _plane_positions(d, r, i, j) if planes is None else planes[i, j]
+    flat, n = stack.reshape(b, -1), len(powers[0])
+    energies = np.zeros((b, n))
+    for m, positions in enumerate(blocks, 1):
+        # the n rotations stacked as rows: one product per cube
+        rotated = powers[m - 1].reshape(-1, 2**m) @ np.take(flat, positions, axis=1).reshape(b, 2**m, len(positions) >> m)
+        np.square(rotated, out=rotated)
+        energies += math.comb(r, m) * (rotated.reshape(b, n, len(positions)) @ mask.reshape(-1)[positions])
+    return energies
 
 
 def _minimize_plane(stack: np.ndarray, mask: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -227,7 +216,7 @@ def _minimize_plane(stack: np.ndarray, mask: np.ndarray, i: int, j: int) -> np.n
     pi-periodic and fixed by 2r+1 equispaced samples on [0, pi).  Samples
     omit the energy of entries without an index in {i, j}, a constant of
     the plane.  On (-pi/2, pi/2) the critical points of f are the real
-    roots x of the real degree-2r polynomial P of ``_tangent_maps``, at
+    roots x of the real degree-2r polynomial P of ``_plane_kernel``, at
     t = arctan x, and P's leading coefficient is proportional to f'(pi/2),
     so the candidates are arctan of the real part of each root, and pi/2;
     a complex root only adds a candidate.  The roots are the eigenvalues of
@@ -237,8 +226,8 @@ def _minimize_plane(stack: np.ndarray, mask: np.ndarray, i: int, j: int) -> np.n
     """
     b, r = len(stack), stack.ndim - 1
     n = 2 * r + 1
-    maps, freq, shift = _tangent_maps(r)
-    samples = _plane_energies(stack, mask, i, j, _sample_powers(r))
+    _, maps, freq, shift, _ = _plane_kernel(stack.shape[1], r)
+    samples = _plane_energies(stack, mask, i, j)
     # an einsum, not a matmul over the stack, gives each cube the products it gets alone
     coef = np.einsum("bs,sp->bp", samples, maps)
     poly = coef[:, :n]
@@ -372,11 +361,11 @@ def _run_restarts(
     """
     d, r = dense0.shape[0], dense0.ndim
     ica_mask = diagonal_pattern(d, r).dense_zero_mask()
+    start, ica_sweeps = np.eye(d), 0
+    if not np.array_equal(mask, ica_mask):
+        [(q_ica, _, ica_sweeps)] = _descend(dense0, ica_mask, [(0, start)])
+        start = q_ica[_regroup(_transform_modewise(q_ica, dense0, r), mask)]
     haar = [(k, random_orthogonal(d, substream(opts.seed, "restart", k))) for k in range(1, opts.restarts)]
-    if np.array_equal(mask, ica_mask):
-        return _descend(dense0, mask, [(0, np.eye(d))] + haar)
-    [(q_ica, _, ica_sweeps)] = _descend(dense0, ica_mask, [(0, np.eye(d))])
-    start = q_ica[_regroup(_transform_modewise(q_ica, dense0, r), mask)]
     [(q, energy, sweeps), *results] = _descend(dense0, mask, [(0, start)] + haar)
     return [(q, energy, ica_sweeps + sweeps), *results]
 

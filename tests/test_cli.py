@@ -370,6 +370,11 @@ def test_io_errors_exit_two(workdir, capsys):
         assert cli.run(argv) == 2, argv
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "bad.json" in err[0], err
+    # a graph that names neither d nor dim is refused on reading, not built with 0 vertices
+    for edges in ([[1, 2]], []):
+        bad.write_text(json.dumps({"edges": edges}))
+        assert cli.run(["probe", "--graph", str(bad), "--seed", "0"]) == 2
+        assert capsys.readouterr().err.strip() == f"pica: invalid input: {bad}: the graph names no vertex count: missing d"
 
 
 def test_empty_and_out_of_range_inputs_exit_two(workdir, capsys):
@@ -387,9 +392,9 @@ def test_empty_and_out_of_range_inputs_exit_two(workdir, capsys):
     not_npy.write_text("1,2\n3,4\n")
     out = str(workdir / "o.json")
     # a pattern or graph of dimension < 1 is refused by canonical_indices, not left to an IndexError
-    tensor_path, no_d_graph = workdir / "t.json", workdir / "no_d.json"
+    tensor_path, zero_graph = workdir / "t.json", workdir / "zero.json"
     save_tensor(tensor_from_entries(4, 2, []), tensor_path)
-    no_d_graph.write_text(json.dumps({"edges": []}))
+    zero_graph.write_text(json.dumps({"d": 0, "edges": []}))
     nine_graph = workdir / "nine.json"
     nine_graph.write_text(json.dumps({"d": 9, "edges": [[1, 2]]}))
     dim_patterns = {dim: workdir / f"dim{dim}.json" for dim in (0, -2)}
@@ -401,7 +406,7 @@ def test_empty_and_out_of_range_inputs_exit_two(workdir, capsys):
         (["check", "--tensor", str(tensor_path), "--pattern", str(dim_patterns[-2])], "dim must be positive, got -2"),
         (recover + ["--pattern", str(dim_patterns[0])], "dim must be positive, got 0"),
         (recover + ["--pattern", str(dim_patterns[-2])], "dim must be positive, got -2"),
-        (["probe", "--graph", str(no_d_graph), "--seed", "0"], "dim must be positive, got 0"),
+        (["probe", "--graph", str(zero_graph), "--seed", "0"], "dim must be positive, got 0"),
         (["probe", "--graph", str(graph_path), "--trials", "0", "--seed", "0"], "trials >= 1, got 0"),
         (["probe", "--graph", str(graph_path), "--trials", "-1", "--seed", "0"], "trials >= 1, got -1"),
         # 9! (154 + 81) entries to gather at r = 3, refused before the permutation table is built

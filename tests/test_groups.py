@@ -209,6 +209,55 @@ def test_group_containments_by_construction():
         assert orthogonality_defect(q) < 1e-12
 
 
+def reference_block_verdicts(q, structure, tol):
+    """(block-orthogonal, block signed permutation) by the per-block rule.
+
+    Within tol: q is orthogonal, and each block row and column holds exactly
+    one block with an entry above tol, of its own size.  For the second
+    verdict each such block also holds exactly one entry above tol per row
+    and column, each within tol of magnitude 1.
+    """
+    m = structure.count
+    if np.abs(q @ q.T - np.eye(len(q))).max() > tol:
+        return False, False
+    occupied = [(i, j) for i in range(m) for j in range(m) if np.abs(structure.block(q, i, j)).max() > tol]
+    if sorted(i for i, _ in occupied) != list(range(m)) or sorted(j for _, j in occupied) != list(range(m)):
+        return False, False
+    if any(structure.sizes[i] != structure.sizes[j] for i, j in occupied):
+        return False, False
+
+    def signed_permutation(blk):
+        nz = np.abs(blk) > tol
+        return (nz.sum(0) == 1).all() and (nz.sum(1) == 1).all() and (np.abs(np.abs(blk[nz]) - 1) <= tol).all()
+
+    return True, all(signed_permutation(structure.block(q, i, j)) for i, j in occupied)
+
+
+@st.composite
+def block_matrices(draw):
+    """A block signed permutation or a Haar block-orthogonal matrix, some entries moved by a multiple of tol."""
+    structure = BlockStructure(tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    haar = draw(st.booleans())
+    q = random_block_orthogonal(structure, rng) if haar else block_signed_permutation(structure, rng)
+    tol = draw(st.sampled_from([1e-10, 1e-6, 0.05]))
+    # below, at and just past tol: zeros cross the occupancy threshold, ones the magnitude one
+    scale = draw(st.sampled_from([0.0, 0.5, 0.99, 1.0, 1.01, 2.0]))
+    q = q + (rng.random(q.shape) < 0.3) * scale * tol * rng.choice([-1.0, 1.0], size=q.shape)
+    return q, structure, tol, haar, scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_matrices())
+def test_block_verdicts_follow_the_per_block_rule(case):
+    q, structure, tol, haar, scale = case
+    verdicts = is_block_orthogonal(q, structure, tol), is_block_signed_permutation(q, structure, tol)
+    assert verdicts == reference_block_verdicts(q, structure, tol)
+    if scale == 0.0 and tol < 0.05:
+        # a Haar block of size 2 or more is a rotation, not a signed permutation
+        assert verdicts == (True, not haar or max(structure.sizes) == 1)
+
+
 def test_coset_residual_members_are_zero():
     b = BlockStructure((2, 2))
     for seed in range(20):

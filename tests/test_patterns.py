@@ -333,17 +333,17 @@ def test_sample_membership_tol():
 
 def test_json_round_trips(tmp_path):
     spec = PartitionSpec(4, ((1, 2), (3, 4)))
-    cases = [
-        pattern_from_partition(spec, 3),
-        pattern_from_graph(star_graph(4), 3),
-        diagonal_pattern(3, 4),
-        reflectional_pattern(3, 4),
-        mean_independence_pattern(3, 4),
-    ]
-    for p in cases:
+    cases = {
+        pattern_from_partition(spec, 3): {"kind": "partition", "order": 3, "dim": 4, "blocks": [[1, 2], [3, 4]]},
+        pattern_from_graph(star_graph(4), 3): {"kind": "graph", "order": 3, "dim": 4, "edges": [[1, 2], [1, 3], [1, 4]]},
+        diagonal_pattern(3, 4): {"kind": "diagonal", "order": 4, "dim": 3},
+        reflectional_pattern(3, 4): {"kind": "reflectional", "order": 4, "dim": 3},
+        mean_independence_pattern(3, 4): {"kind": "mean_independence", "order": 4, "dim": 3},
+    }
+    for p, expected in cases.items():
         obj = pattern_to_json(p)
-        assert ("blocks" in obj) == (p.kind == "partition")
-        assert ("edges" in obj) == (p.kind == "graph")
+        # key order included: it is the order of the saved file
+        assert list(obj.items()) == list(expected.items())
         back = pattern_from_json(obj)
         assert back.same_predicate(p)
         path = tmp_path / f"{p.kind}.json"

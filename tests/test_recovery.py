@@ -37,9 +37,8 @@ from pica.recovery import (
     _dense_energy,
     _minimize_plane,
     _plane_energies,
-    _plane_table,
+    _plane_kernel,
     _regroup,
-    _sample_powers,
     comon_pipeline,
     estimate_unmixing,
     load_report,
@@ -382,8 +381,8 @@ def test_plane_search_keeps_the_quarter_turn_when_the_leading_coefficient_is_zer
     assert is_member(member, pattern)
     dense = member.to_dense()[np.ix_(*[[0, 2, 1, 3]] * 4)]
     mask = pattern.dense_zero_mask()
-    samples = _plane_energies(dense[None], mask, 1, 2, _sample_powers(4))
-    assert np.einsum("bs,sp->bp", samples, recovery._tangent_maps(4)[0])[0, 0] == 0.0
+    samples = _plane_energies(dense[None], mask, 1, 2)
+    assert np.einsum("bs,sp->bp", samples, _plane_kernel(4, 4)[1])[0, 0] == 0.0
     theta = _minimize_plane(dense[None], mask, 1, 2)[0]
     assert abs(theta) == math.pi / 2
     assert _dense_energy(_rotated(dense, 1, 2, theta), mask) < 1e-24 < _dense_energy(dense, mask)
@@ -419,7 +418,7 @@ def test_block_samples_match_rotating_the_whole_cube(problem):
     whole = np.array(
         [_dense_energy(_rotated(dense, i, j, t), mask) for t in math.pi * np.arange(n) / n]
     )
-    blocks = _plane_energies(dense[None], mask, i, j, _sample_powers(dense.ndim))[0]
+    blocks = _plane_energies(dense[None], mask, i, j)[0]
     # the blocks leave out the entries no plane-(i, j) rotation moves: compare changes from t = 0
     np.testing.assert_allclose(blocks - blocks[0], whole - whole[0], rtol=0, atol=1e-12 * (1 + np.max(whole)))
 
@@ -429,7 +428,7 @@ def complex_companion_minimize(stack, mask, i, j):
     r = stack.ndim - 1
     n = 2 * r + 1
     angles = math.pi * np.arange(n) / n
-    samples = _plane_energies(stack, mask, i, j, _sample_powers(r))
+    samples = _plane_energies(stack, mask, i, j)
     c = np.fft.rfft(samples) / n
     k = np.arange(r + 1)
     weights = np.where(k == 0, 1.0, 2.0) * c
@@ -468,31 +467,36 @@ def test_tangent_roots_find_the_complex_companion_minimum(problem):
     assert abs(found - reference) <= 1e-12 * (1.0 + abs(reference))
 
 
-def test_plane_table_holds_the_ix_gathers():
+def test_plane_kernel_holds_the_ix_gathers():
     for d in range(2, 6):
         for r in range(2, 7):
             cube = np.arange(d**r).reshape((d,) * r)
-            table = _plane_table(d, r)
-            assert len(table) == math.comb(d, 2)
-            for (i, j), blocks in table.items():
+            powers, maps, freq, shift, planes = _plane_kernel(d, r)
+            assert len(powers) == r and len(planes) == math.comb(d, 2)
+            for array in (*powers, maps, freq, shift):
+                assert not array.flags.writeable
+            for (i, j), blocks in planes.items():
                 pair, rest = [i, j], [k for k in range(d) if k not in (i, j)]
-                gathers = [cube[np.ix_(*[pair] * m, *[rest] * (r - m))].ravel() for m in range(1 if rest else r, r + 1)]
-                assert len(blocks) == len(gathers)
-                for positions, gather in zip(blocks, gathers):
+                gathers = [cube[np.ix_(*[pair] * m, *[rest] * (r - m))].ravel() for m in range(1, r + 1)]
+                assert len(blocks) == r
+                for m, (positions, gather) in enumerate(zip(blocks, gathers), 1):
                     np.testing.assert_array_equal(positions, gather)
+                    # at d = 2 no index lies outside the plane: every block but m = r is empty
+                    assert (len(positions) == 0) == (d == 2 and m < r)
                     assert not positions.flags.writeable
 
 
-def test_plane_table_is_bounded_by_the_dense_budget(monkeypatch):
-    assert _plane_table(30, 4) is None
+def test_plane_kernel_is_bounded_by_the_dense_budget(monkeypatch):
+    assert _plane_kernel(30, 4)[4] is None
+    assert _plane_kernel.cache_info().maxsize == 4
     # at d = 5, r = 3 each of the 10 planes has 2*9 + 4*3 + 8 = 38 positions
     for budget, built in [(380, True), (379, False)]:
-        _plane_table.cache_clear()
+        _plane_kernel.cache_clear()
         monkeypatch.setattr(recovery, "MAX_DENSE_ENTRIES", budget)
-        table = _plane_table(5, 3)
-        assert (table is not None) == built
-        assert not built or sum(len(positions) for blocks in table.values() for positions in blocks) == budget
-    _plane_table.cache_clear()
+        planes = _plane_kernel(5, 3)[4]
+        assert (planes is not None) == built
+        assert not built or sum(len(positions) for blocks in planes.values() for positions in blocks) == budget
+    _plane_kernel.cache_clear()
 
 
 def test_plane_search_allocates_less_than_one_cube():
@@ -501,7 +505,7 @@ def test_plane_search_allocates_less_than_one_cube():
     mask = pattern.dense_zero_mask()
     # a stack of one, then a stack of three cubes
     for stack in (dense[None], np.stack([dense, dense[::-1, ::-1, ::-1, ::-1], -dense])):
-        _minimize_plane(stack, mask, 0, 1)  # the rotation powers are cached once per order
+        _minimize_plane(stack, mask, 0, 1)  # the kernel is cached once per (d, r)
         tracemalloc.start()
         try:
             _minimize_plane(stack, mask, 3, 17)
@@ -581,11 +585,11 @@ def test_restart_zero_on_a_partition_target_counts_both_descents():
     pattern = pattern_from_partition(PartitionSpec(4, ((1, 2), (3, 4))), 4)
     dense = multilinear_transform(random_orthogonal(4, 3), generic_sample(pattern, rng=3)).to_dense()
     mask, opts = pattern.dense_zero_mask(), RecoveryOptions(restarts=1)
-    [(_, _, sweeps)] = recovery._run_restarts(dense, mask, opts)
+    [result] = recovery._run_restarts(dense, mask, opts)
     [(q_ica, _, ica_sweeps)] = recovery._descend(dense, diagonal_pattern(4, 4).dense_zero_mask(), [(0, np.eye(4))])
     start = q_ica[_regroup(_transform_modewise(q_ica, dense, 4), mask)]
-    [(_, _, target_sweeps)] = recovery._descend(dense, mask, [(0, start)])
-    assert sweeps == ica_sweeps + target_sweeps
+    [(q, energy, target_sweeps)] = recovery._descend(dense, mask, [(0, start)])
+    assert _bytes(result) == _bytes((q, energy, ica_sweeps + target_sweeps))
 
 
 def test_fewer_restarts_are_the_first_results_of_more():
