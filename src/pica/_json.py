@@ -59,10 +59,10 @@ def array(value) -> np.ndarray:
 def load(path, decode):
     """Parse the JSON object in ``path`` and return ``decode(obj)``.
 
-    A file that parses but has the wrong shape, a non-object top level or
-    a field of the wrong type, raises ValueError naming the file, and so
-    do a non-finite number (NaN, Infinity, or a literal that overflows)
-    and a value that ``decode`` refuses with a ValueError.
+    A file that parses but has the wrong shape, a non-object top level, a
+    missing key or a field of the wrong type, raises ValueError naming the
+    file, and so do a non-finite number (NaN, Infinity, or a literal that
+    overflows) and a value that ``decode`` refuses with a ValueError.
     """
 
     def finite(text):
@@ -77,6 +77,8 @@ def load(path, decode):
         raise ValueError(f"{path}: expected a JSON object, got {type(obj).__name__}")
     try:
         return decode(obj)
+    except KeyError as exc:
+        raise ValueError(f"{path}: malformed content: missing key {exc}") from exc
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: malformed content: {exc}") from exc
     except ValueError as exc:

@@ -33,12 +33,16 @@ digest as above.  An objective failure is a failed draw that no search could
 recover: one more descent, started at the truth's rotation (the polar factor
 of (V A)^-1 for the whitening transform V and the mixing A), stays within 0.1
 of the truth's coset and ends at an objective no lower than the best
-restart's.  In both modes, restart 0's sweeps on a non-diagonal target are
-its ICA descent's and its target descent's together, so a `max_sweeps`
-count can flag restart 0 when neither descent reached `max_sweeps` on its
-own; on a diagonal target (all blocks of size 1) they are the ICA descent's
-own, as that descent is restart 0.  This mode records; its exit code is 1
-only if a recovery raised.
+restart's.  Its exit code is 1 if a recovery raised or if `failed` exceeds
+`objective_failures`, that is, if some failure is one a search could have
+avoided.
+
+In both modes the counts are iterations: sweeps and the Newton steps that
+finish a descent.  Restart 0's count on a non-diagonal target is its ICA
+descent's and its target descent's together, so a `max_sweeps` count can
+flag restart 0 when neither descent reached `max_sweeps` on its own; on a
+diagonal target (all blocks of size 1) it is the ICA descent's own, as that
+descent is restart 0.
 """
 
 from __future__ import annotations
@@ -159,7 +163,7 @@ def structure_census(sizes: tuple[int, ...], draws: int) -> int:
         "errors": errors,
         "digest": sha.hexdigest(),
     }))
-    return 1 if errors else 0
+    return 1 if errors or len(failed_draws) > objective_failures else 0
 
 
 def block_sizes(text: str) -> tuple[int, ...]:

@@ -377,6 +377,20 @@ def test_io_errors_exit_two(workdir, capsys):
         assert capsys.readouterr().err.strip() == f"pica: invalid input: {bad}: the graph names no vertex count: missing d"
 
 
+def test_a_missing_key_exits_two_with_one_line_naming_the_file(workdir, capsys):
+    tensor_path, bad = workdir / "t.json", workdir / "bad.json"
+    save_tensor(tensor_from_entries(3, 3, [((1, 1, 1), 1.0)]), tensor_path)
+    cases = [
+        ({"d": 3}, ["probe", "--graph", str(bad), "--seed", "0"], "'edges'"),
+        ({"order": 3, "dim": 3}, ["check", "--tensor", str(tensor_path), "--pattern", str(bad)], "'kind'"),
+    ]
+    capsys.readouterr()
+    for content, argv, key in cases:
+        bad.write_text(json.dumps(content))
+        assert cli.run(argv) == 2, argv
+        assert capsys.readouterr().err.strip() == f"pica: invalid input: {bad}: malformed content: missing key {key}"
+
+
 def test_empty_and_out_of_range_inputs_exit_two(workdir, capsys):
     graph_path, empty_csv, data = workdir / "graph.json", workdir / "empty.csv", workdir / "data.csv"
     graph_path.write_text(json.dumps({"d": 3, "edges": [[1, 2], [1, 3]]}))

@@ -2,13 +2,14 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pica import partitions, recovery
+from pica import _planes, partitions, recovery
 from pica._rng import substream
 from pica.estimation import DegenerateDataError, sample_cumulant, whiten
 from pica.groups import (
@@ -30,14 +31,12 @@ from pica.patterns import (
     pattern_from_partition,
     reflectional_pattern,
 )
+from pica._planes import _apply_plane, _minimize_plane, _plane_energies, _plane_kernel
 from pica.recovery import (
     _SWAP_RTOL,
+    _SWEEP_TOL,
     RecoveryOptions,
-    _apply_plane,
     _dense_energy,
-    _minimize_plane,
-    _plane_energies,
-    _plane_kernel,
     _regroup,
     comon_pipeline,
     estimate_unmixing,
@@ -492,7 +491,7 @@ def test_plane_kernel_is_bounded_by_the_dense_budget(monkeypatch):
     # at d = 5, r = 3 each of the 10 planes has 2*9 + 4*3 + 8 = 38 positions
     for budget, built in [(380, True), (379, False)]:
         _plane_kernel.cache_clear()
-        monkeypatch.setattr(recovery, "MAX_DENSE_ENTRIES", budget)
+        monkeypatch.setattr(_planes, "MAX_DENSE_ENTRIES", budget)
         planes = _plane_kernel(5, 3)[4]
         assert (planes is not None) == built
         assert not built or sum(len(positions) for blocks in planes.values() for positions in blocks) == budget
@@ -539,6 +538,79 @@ def test_stacked_descent_gives_each_restart_its_own_descent(problem, seed):
     for start, result in zip(starts, stacked):
         [alone] = recovery._descend(dense, mask, [start])
         assert _bytes(result) == _bytes(alone)
+
+
+@settings(max_examples=25, deadline=None)
+@given(plane_problems(), st.integers(0, 2**16))
+@example(_population_diagonal_problem(), 0)
+def test_restarts_end_on_a_sweep_and_newton_steps_only_lower_the_energy(problem, seed):
+    dense, mask, _, _ = problem
+    d, r = len(dense), dense.ndim
+    q0 = random_orthogonal(d, seed)
+    [(_, energy, iterations)] = recovery._descend(dense, mask, [(0, q0)])
+    # the energy after each iteration, from the descent cut there, and how many sweeps it had begun
+    cuts, minimize = [(0, _dense_energy(_transform_modewise(q0, dense, r), mask))], recovery._minimize_plane
+    for limit in range(1, iterations + 1):
+        sweeps = []
+        counting = lambda stack, m, i, j: sweeps.append((i, j)) or minimize(stack, m, i, j)  # noqa: E731
+        with mock.patch.object(RecoveryOptions, "max_sweeps", limit), mock.patch.object(recovery, "_minimize_plane", counting):
+            [(_, cut, count)] = recovery._descend(dense, mask, [(0, q0)])
+        assert count == limit
+        cuts.append((sweeps.count((0, 1)), cut))
+    assert cuts[-1][1] == energy
+    for (sweeps, before), (now, after) in zip(cuts, cuts[1:]):
+        if now == sweeps:  # a Newton step, kept only where it lowers the energy
+            assert after < before
+        else:
+            assert now == sweeps + 1 and after <= before + 1e-12 * (1.0 + before)
+    if iterations < RecoveryOptions.max_sweeps:
+        # the restart ends on one more full sweep, which lowered its energy by less than _SWEEP_TOL
+        (sweeps, before), (now, after) = cuts[-2:]
+        assert now == sweeps + 1 and before - after < _SWEEP_TOL
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [pattern_from_partition(PartitionSpec(5, ((1, 2), (3, 4, 5))), 4), diagonal_pattern(4, 3)],
+    ids=["partition", "diagonal"],
+)
+def test_newton_rotation_solves_the_finite_difference_newton_system(pattern):
+    d, r, mask = pattern.dim, pattern.order, pattern.dense_zero_mask()
+    planes = _planes._quotient_planes(mask)
+    kernel = _planes._tangent_kernel(d, r, planes)
+    i, j, eye = kernel[-2], kernel[-1], np.eye(d)
+
+    def cayley(t):
+        k = np.zeros((d, d))
+        k[j, i], k[i, j] = t, -t
+        return np.linalg.solve(eye - k / 2, eye + k / 2)
+
+    # a member turned a little off its pattern, where the Hessian on the quotient is positive definite
+    t0 = 0.05 * np.random.default_rng(d).standard_normal(len(planes))
+    cube = _transform_modewise(cayley(t0), generic_sample(pattern, rng=d).to_dense(), r)
+    energy = lambda t: _dense_energy(_transform_modewise(cayley(t), cube, r), mask)  # noqa: E731
+    h, basis = 1e-4, np.eye(len(planes))
+    grad = np.array([energy(h * e) - energy(-h * e) for e in basis]) / (2 * h)
+    hess = np.array([
+        [energy(h * (a + b)) - energy(h * (a - b)) - energy(h * (b - a)) + energy(-h * (a + b)) for b in basis]
+        for a in basis
+    ]) / (4 * h * h)
+    rot = _planes._newton_rotation(cube, mask.reshape(-1)[kernel[0]].astype(float), kernel)
+    expected = cayley(-np.linalg.solve(hess, grad))
+    assert np.abs(rot - expected).max() < 1e-5 * np.abs(expected - eye).max()
+    assert np.abs(rot @ rot.T - eye).max() < 1e-14
+
+
+@pytest.mark.parametrize("sizes, draw", [((2, 3, 3), 1), ((2, 3, 3), 2), ((2, 3, 3), 3), ((3, 5), 4)])
+def test_restart_zero_alone_recovers_census_draws_at_d8(sizes, draw):
+    # tests/recovery_census.py's structure-mode problems, which the transposition regroup left in a wrong grouping
+    d, ends = sum(sizes), np.cumsum(sizes)
+    spec = PartitionSpec(d, tuple(tuple(range(end - size + 1, end + 1)) for size, end in zip(sizes, ends)))
+    laws = ["uniform"] * d if draw % 2 == 0 else [("uniform", "rademacher_mixture")[i % 2] for i in range(d)]
+    a = random_orthogonal(d, 1000 + draw)
+    y = mix(gen_partitioned_sources(100_000, spec, laws, draw), a)
+    report = estimate_unmixing(y, pattern_from_partition(spec, 4), RecoveryOptions(restarts=1, seed=draw))
+    assert verify_identifiability(report.unmixing, a, BlockStructure(sizes)).residual < 0.1
 
 
 def test_flat_planes_keep_np_roots_inside_a_stack(monkeypatch):
@@ -649,16 +721,16 @@ def test_restart_zero_alone_recovers_partitioned_sources(blocks, laws):
         assert verify_identifiability(report.unmixing, a, structure).residual < 0.1
 
 
-@pytest.mark.parametrize("blocks", [((1, 2, 3, 4), (5, 6, 7, 8)), ((1, 2), (3, 4), (5, 6), (7, 8))])
+@pytest.mark.parametrize("blocks", [((1, 2, 3), (4, 5, 6), (7, 8, 9)), ((1, 2), (3, 4), (5, 6), (7, 8), (9,))])
 def test_regroup_transpositions_group_scrambled_members(blocks):
-    # d!·C(d+r-1, r) = 40320 · 330 > 2^22 = MAX_DENSE_ENTRIES at d = 8, r = 4, so the candidates are transpositions
-    pattern = pattern_from_partition(PartitionSpec(8, blocks), 4)
+    # d!·C(d+r-1, r) = 362880 · 495 > 2^26 = MAX_CONVERSION_ENTRIES at d = 9, r = 4, so the candidates are transpositions
+    pattern = pattern_from_partition(PartitionSpec(9, blocks), 4)
     mask = pattern.dense_zero_mask()
     for seed in range(5):
-        perm = np.random.default_rng(seed).permutation(8)
+        perm = np.random.default_rng(seed).permutation(9)
         dense = generic_sample(pattern, rng=seed).to_dense()[np.ix_(*[perm] * 4)]
         order = _regroup(dense, mask)
-        assert sorted(order) == list(range(8))
+        assert sorted(order) == list(range(9))
         assert _dense_energy(dense[np.ix_(*[order] * 4)], mask) <= 1e-24 * np.sum(dense**2)
 
 
@@ -740,8 +812,8 @@ def _transpositions(order):
 
 
 def test_regroup_scores_each_transposition_pass_in_one_gather(monkeypatch):
-    # d = 8, r = 4 is beyond the d! budget: each pass gathers the C(8, 2) transpositions of the order it starts from
-    pattern = pattern_from_partition(PartitionSpec(8, ((1, 2, 3), (4, 5, 6), (7, 8))), 4)
+    # d = 9, r = 4 is beyond the d! budget: each pass gathers the C(9, 2) transpositions of the order it starts from
+    pattern = pattern_from_partition(PartitionSpec(9, ((1, 2, 3), (4, 5, 6), (7, 8, 9))), 4)
     mask = pattern.dense_zero_mask()
     calls = []
 
@@ -751,15 +823,15 @@ def test_regroup_scores_each_transposition_pass_in_one_gather(monkeypatch):
 
     monkeypatch.setattr(recovery, "_permuted_ranks", counting_ranks)
     for seed in range(3):
-        perm = np.random.default_rng(seed).permutation(8)
+        perm = np.random.default_rng(seed).permutation(9)
         dense = generic_sample(pattern, rng=seed).to_dense()[np.ix_(*[perm] * 4)]
         calls.clear()
         order = _regroup(dense, mask)
         assert len(calls) > 1  # some transposition was taken, so a second pass ran
-        assert [len(candidates) for candidates in calls] == [math.comb(8, 2)] * len(calls)
+        assert [len(candidates) for candidates in calls] == [math.comb(9, 2)] * len(calls)
         # the order each pass starts from, read back from its swap of positions 0 and 1
         bases = [candidates[0][1::-1] + candidates[0][2:] for candidates in calls]
-        assert bases[0] == list(range(8)) and bases[-1] == order
+        assert bases[0] == list(range(9)) and bases[-1] == order
         for k, (base, candidates) in enumerate(zip(bases, calls)):
             assert candidates == list(_transpositions(base))
             assert k + 1 == len(calls) or bases[k + 1] in candidates
@@ -768,18 +840,39 @@ def test_regroup_scores_each_transposition_pass_in_one_gather(monkeypatch):
 def test_regroup_transpositions_end_at_a_local_optimum():
     # rotated members: no order reaches zero, so each comparison is a real one
     patterns = [
-        pattern_from_partition(PartitionSpec(8, ((1, 2), (3, 4, 5), (6, 7, 8))), 4),
-        pattern_from_partition(PartitionSpec(8, ((1, 2, 3), (4, 5, 6, 7, 8))), 4),
-        pattern_from_graph(IndependenceGraph(8, [(v, v + 1) for v in range(1, 8)]), 4),
+        pattern_from_partition(PartitionSpec(9, ((1, 2), (3, 4, 5), (6, 7, 8, 9))), 4),
+        pattern_from_partition(PartitionSpec(9, ((1, 2, 3), (4, 5, 6, 7, 8, 9))), 4),
+        pattern_from_graph(IndependenceGraph(9, [(v, v + 1) for v in range(1, 9)]), 4),
     ]
     for pattern in patterns:
         mask = pattern.dense_zero_mask()
         for seed in range(2):
-            dense = multilinear_transform(random_orthogonal(8, seed), generic_sample(pattern, rng=seed)).to_dense()
+            dense = multilinear_transform(random_orthogonal(9, seed), generic_sample(pattern, rng=seed)).to_dense()
             order = _regroup(dense, mask)
             energy = _dense_energy(dense[np.ix_(*[order] * 4)], mask)
             for swapped in _transpositions(order):
                 assert energy - _dense_energy(dense[np.ix_(*[swapped] * 4)], mask) <= _SWAP_RTOL * energy
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        pattern_from_partition(PartitionSpec(6, ((1, 2), (3, 4, 5, 6))), 4),
+        pattern_from_graph(IndependenceGraph(7, [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 7)]), 4),
+        pattern_from_partition(PartitionSpec(8, ((1, 2), (3, 4, 5), (6, 7, 8))), 4),
+        pattern_from_graph(IndependenceGraph(8, [(v, v + 1) for v in range(1, 8)]), 4),
+    ],
+    ids=["partition-d6", "graph-d7", "partition-d8", "graph-d8"],
+)
+def test_regroup_reaches_the_brute_force_minimum_up_to_d8(pattern):
+    # d!·C(d+r-1, r) <= 2^26 = MAX_CONVERSION_ENTRIES up to d = 8 at r = 4: every order is a candidate
+    d, mask = pattern.dim, pattern.dense_zero_mask()
+    # a rotated member: no order reaches zero, so the minimum is a real comparison
+    dense = multilinear_transform(random_orthogonal(d, d), generic_sample(pattern, rng=d)).to_dense()
+    best = min(_dense_energy(dense[np.ix_(*[p] * 4)], mask) for p in itertools.permutations(range(d)))
+    order = _regroup(dense, mask)
+    energy = _dense_energy(dense[np.ix_(*[order] * 4)], mask)
+    assert energy - best <= _SWAP_RTOL * energy
 
 
 def test_reflectional_stabilizer_is_signed_permutation_group():
